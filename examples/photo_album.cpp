@@ -1,140 +1,91 @@
-// Photo-album scenario: the paper's Figure 1 service cluster, built from
-// the lower-level finelb building blocks.
+// Photo-album scenario: the paper's Figure 1 service cluster.
 //
 // The cluster hosts an "image-store" service partitioned into two partition
-// groups (photos 0-9 and 10-19), each replicated on two server nodes. All
-// four nodes announce themselves on the availability channel as soft state.
-// An album front-end resolves each photo access in two steps, exactly as a
-// Neptune client would:
+// groups (photos 0-9 and 10-19), each replicated on two server nodes that
+// serve a FETCH method from a neptune::MethodTable. All four nodes announce
+// themselves on the availability channel as soft state. The album
+// front-end is a neptune::ServiceClient, which resolves each photo access in
+// the two Neptune steps:
 //   1. service availability: look the partition up in the mapping table
 //      refreshed from the directory;
-//   2. load balancing: poll the partition's replicas over connected UDP
-//      sockets and dispatch to the lighter one (random polling, d = group
-//      size).
+//   2. load balancing: poll the partition's replicas and dispatch to the
+//      lighter one (random polling, d = group size).
 //
 // It also demonstrates the soft-state failure story: one replica is stopped
 // mid-run, its directory entry expires, and the front-end keeps serving
 // from the survivor without reconfiguration.
 //
 // Run:  ./build/examples/photo_album
-#include <array>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/directory.h"
 #include "cluster/server_node.h"
 #include "common/flags.h"
 #include "common/log.h"
-#include "common/rng.h"
-#include "core/selection.h"
 #include "net/clock.h"
-#include "net/message.h"
-#include "net/poller.h"
-#include "net/socket.h"
+#include "neptune/method_table.h"
+#include "neptune/service_client.h"
 
 using namespace finelb;
 
 namespace {
 
 constexpr const char* kImageStore = "image-store";
+constexpr std::uint16_t kFetch = 1;
 
-/// Minimal synchronous Neptune-style client: mapping table + polling agent.
-class AlbumFrontend {
- public:
-  explicit AlbumFrontend(const net::Address& directory)
-      : directory_(directory), rng_(7) {}
+std::uint32_t partition_of(int photo) { return photo < 10 ? 0u : 1u; }
 
-  /// Refreshes the service mapping table from the availability channel.
-  void refresh_mapping() {
-    replicas_.clear();
-    for (const auto& endpoint : directory_.fetch(kImageStore)) {
-      replicas_[endpoint.partition].push_back(endpoint);
-    }
+/// The stored image bytes for a photo (a stand-in for a real JPEG).
+std::vector<std::uint8_t> photo_bytes(int photo) {
+  const std::string image = "photo-" + std::to_string(photo) + ".jpg";
+  return {image.begin(), image.end()};
+}
+
+/// FETCH: args = photo id (u32); holds the worker for 3 ms of "decode and
+/// resize" work, then returns the image.
+std::vector<std::uint8_t> fetch_handler(std::uint32_t partition,
+                                        std::span<const std::uint8_t> args) {
+  net::Reader reader(args);
+  const auto photo = static_cast<int>(reader.u32());
+  if (partition_of(photo) != partition) {
+    throw std::runtime_error("photo routed to the wrong partition");
   }
+  net::sleep_for(3 * kMillisecond);
+  return photo_bytes(photo);
+}
 
-  /// Fetches one photo: resolve partition, poll replicas, dispatch.
-  /// Returns the serving node id, or -1 if the partition has no replicas.
-  int fetch_photo(int photo_id, std::uint32_t service_us) {
-    const std::uint32_t partition = photo_id < 10 ? 0u : 1u;
-    const auto it = replicas_.find(partition);
-    if (it == replicas_.end() || it->second.empty()) return -1;
-    const auto& group = it->second;
-
-    // Load balancing step: poll every replica in the partition group.
-    std::vector<ServerLoad> loads;
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      net::UdpSocket poll_socket;
-      poll_socket.connect(group[i].load_addr);
-      net::LoadInquiry inquiry;
-      inquiry.seq = next_seq_++;
-      if (!poll_socket.send(inquiry.encode())) continue;
-      net::Poller poller;
-      poller.add(poll_socket.fd(), 0);
-      std::array<std::uint8_t, 64> buf{};
-      const SimTime deadline = net::monotonic_now() + 20 * kMillisecond;
-      while (net::monotonic_now() < deadline) {
-        poller.wait(deadline - net::monotonic_now());
-        if (auto size = poll_socket.recv(buf)) {
-          const auto reply =
-              net::LoadReply::decode(std::span(buf.data(), *size));
-          loads.push_back({static_cast<ServerId>(i), reply.queue_length,
-                           net::monotonic_now()});
-          break;
-        }
-      }
-    }
-    if (loads.empty()) return -1;
-    const auto target = static_cast<std::size_t>(
-        pick_least_loaded(loads, rng_));
-
-    // Service access step.
-    net::ServiceRequest request;
-    request.request_id = next_seq_++;
-    request.service_us = service_us;
-    request.partition = partition;
-    if (!service_socket_.send_to(request.encode(),
-                                 group[target].service_addr)) {
-      return -1;
-    }
-    net::Poller poller;
-    poller.add(service_socket_.fd(), 0);
-    std::array<std::uint8_t, 128> buf{};
-    const SimTime deadline = net::monotonic_now() + kSecond;
-    while (net::monotonic_now() < deadline) {
-      poller.wait(deadline - net::monotonic_now());
-      if (auto dgram = service_socket_.recv_from(buf)) {
-        const auto response =
-            net::ServiceResponse::decode(std::span(buf.data(), dgram->size));
-        if (response.request_id == request.request_id) {
-          return response.server;
-        }
-      }
-    }
-    return -1;
-  }
-
- private:
-  cluster::DirectoryClient directory_;
-  std::map<std::uint32_t, std::vector<cluster::ServiceEndpoint>> replicas_;
-  net::UdpSocket service_socket_;
-  Rng rng_;
-  std::uint64_t next_seq_ = 1;
-};
-
+/// One image-store replica: a server node running its partition's table.
 std::unique_ptr<cluster::ServerNode> make_store_node(
-    ServerId id, std::uint32_t partition, const net::Address& directory) {
+    ServerId id, neptune::MethodTable& table, const net::Address& directory) {
   cluster::ServerOptions options;
   options.id = id;
   options.inject_busy_reply_delay = false;
   options.seed = 100 + static_cast<std::uint64_t>(id);
+  options.handler = table.handler();
   auto node = std::make_unique<cluster::ServerNode>(options);
-  node->enable_publishing(directory, kImageStore, partition,
+  node->enable_publishing({directory}, kImageStore, table.partitions(),
                           /*interval=*/100 * kMillisecond,
                           /*ttl=*/350 * kMillisecond);
   node->start();
   return node;
+}
+
+/// Fetches one photo; returns the serving node id, or -1 on failure or a
+/// corrupt image.
+int fetch_photo(neptune::ServiceClient& frontend, int photo) {
+  net::Writer args;
+  args.u32(static_cast<std::uint32_t>(photo));
+  const neptune::CallResult result =
+      frontend.call(kFetch, partition_of(photo), args.bytes());
+  if (!result.transport_ok || result.status != net::RpcStatus::kOk ||
+      result.data != photo_bytes(photo)) {
+    return -1;
+  }
+  return result.server;
 }
 
 }  // namespace
@@ -146,25 +97,36 @@ int main(int argc, char** argv) {
   cluster::DirectoryServer directory;
   directory.start();
 
+  // One method table per partition group, shared by its two replicas (and
+  // declared before the nodes, so it outlives them).
+  neptune::MethodTable photos_0_9({0});
+  neptune::MethodTable photos_10_19({1});
+  photos_0_9.add(kFetch, fetch_handler);
+  photos_10_19.add(kFetch, fetch_handler);
   std::vector<std::unique_ptr<cluster::ServerNode>> nodes;
-  nodes.push_back(make_store_node(0, /*partition=*/0, directory.address()));
-  nodes.push_back(make_store_node(1, /*partition=*/0, directory.address()));
-  nodes.push_back(make_store_node(2, /*partition=*/1, directory.address()));
-  nodes.push_back(make_store_node(3, /*partition=*/1, directory.address()));
+  nodes.push_back(make_store_node(0, photos_0_9, directory.address()));
+  nodes.push_back(make_store_node(1, photos_0_9, directory.address()));
+  nodes.push_back(make_store_node(2, photos_10_19, directory.address()));
+  nodes.push_back(make_store_node(3, photos_10_19, directory.address()));
   std::printf("image-store: partitions 0-9 on nodes {0,1}, 10-19 on {2,3}\n");
 
-  AlbumFrontend frontend(directory.address());
   // Wait until all four replicas have published themselves.
   cluster::DirectoryClient waiter(directory.address());
   waiter.wait_for_servers(kImageStore, 4);
-  frontend.refresh_mapping();
+  neptune::ServiceClientOptions options;
+  options.service_name = kImageStore;
+  options.directory = directory.address();
+  options.policy = PolicyConfig::polling(2);
+  options.mapping_refresh = 100 * kMillisecond;
+  options.seed = 7;
+  neptune::ServiceClient frontend(options);
 
   // --- serve an album page --------------------------------------------------
   std::printf("\nfetching album page (photos 0..19):\n  served by node:");
   int failures = 0;
   std::map<int, int> served_by;
   for (int photo = 0; photo < 20; ++photo) {
-    const int node = frontend.fetch_photo(photo, /*service_us=*/3000);
+    const int node = fetch_photo(frontend, photo);
     if (node < 0) {
       ++failures;
     } else {
@@ -181,24 +143,24 @@ int main(int argc, char** argv) {
   // --- soft-state failover ---------------------------------------------------
   std::printf("\nstopping node 1 (partition 0 replica)...\n");
   nodes[1]->stop();
-  // Its soft state expires after the 350 ms ttl with no refresh.
+  // Its soft state expires after the 350 ms ttl with no refresh; the
+  // front-end's next mapping refresh no longer lists it.
   net::sleep_for(500 * kMillisecond);
-  frontend.refresh_mapping();
 
   std::printf("fetching partition-0 photos after failover:\n  served by:");
-  int post_failures = 0;
+  int misroutes = 0;
   for (int photo = 0; photo < 10; ++photo) {
-    const int node = frontend.fetch_photo(photo, /*service_us=*/3000);
-    if (node != 0) ++post_failures;
+    const int node = fetch_photo(frontend, photo);
+    if (node != 0) ++misroutes;
     std::printf(" %d", node);
   }
   std::printf("\n  all requests land on the surviving replica (node 0); "
-              "misroutes: %d\n", post_failures);
+              "misroutes: %d\n", misroutes);
 
   for (auto& node : nodes) node->stop();
   directory.stop();
   std::printf(
       "\nThe availability channel's soft state removed the dead replica\n"
       "without any explicit deregistration (paper section 3.1).\n");
-  return 0;
+  return failures == 0 && misroutes == 0 ? 0 : 1;
 }

@@ -6,7 +6,8 @@
 // representations" and "allows multiple translations in one access". This
 // example implements that service with the neptune API:
 //   * the dictionary is hash-partitioned over two partition groups;
-//   * each partition group is replicated on two ServiceNodes;
+//   * each partition group is replicated on two server nodes, each running
+//     a neptune::MethodTable as its request handler;
 //   * a TRANSLATE method maps a batch of words to 64-bit ids in one access
 //     (the paper's multi-translation accesses);
 //   * clients find replicas through the availability directory and
@@ -21,9 +22,10 @@
 #include "common/log.h"
 #include "common/rng.h"
 #include "cluster/directory.h"
+#include "cluster/server_node.h"
 #include "net/clock.h"
+#include "neptune/method_table.h"
 #include "neptune/service_client.h"
-#include "neptune/service_node.h"
 #include "stats/accumulator.h"
 
 using namespace finelb;
@@ -72,15 +74,15 @@ std::vector<std::uint8_t> translate_handler(
   return std::move(out).take();
 }
 
-std::unique_ptr<neptune::ServiceNode> make_node(
-    ServerId id, std::uint32_t partition, const net::Address& directory) {
-  neptune::ServiceNodeOptions options;
+/// A replica of one partition group: a server node running its table.
+std::unique_ptr<cluster::ServerNode> make_node(
+    ServerId id, neptune::MethodTable& table, const net::Address& directory) {
+  cluster::ServerOptions options;
   options.id = id;
-  options.service_name = kService;
-  options.partitions = {partition};
-  auto node = std::make_unique<neptune::ServiceNode>(options);
-  node->register_method(kTranslate, translate_handler);
-  node->enable_publishing(directory, 100 * kMillisecond, 500 * kMillisecond);
+  options.handler = table.handler();
+  auto node = std::make_unique<cluster::ServerNode>(options);
+  node->enable_publishing({directory}, kService, table.partitions(),
+                          100 * kMillisecond, 500 * kMillisecond);
   node->start();
   return node;
 }
@@ -94,11 +96,17 @@ int main(int argc, char** argv) {
 
   cluster::DirectoryServer directory;
   directory.start();
-  std::vector<std::unique_ptr<neptune::ServiceNode>> nodes;
-  nodes.push_back(make_node(0, 0, directory.address()));
-  nodes.push_back(make_node(1, 0, directory.address()));
-  nodes.push_back(make_node(2, 1, directory.address()));
-  nodes.push_back(make_node(3, 1, directory.address()));
+  // One method table per partition group, shared by its two replicas (and
+  // declared before the nodes, so it outlives them).
+  neptune::MethodTable group0({0});
+  neptune::MethodTable group1({1});
+  group0.add(kTranslate, translate_handler);
+  group1.add(kTranslate, translate_handler);
+  std::vector<std::unique_ptr<cluster::ServerNode>> nodes;
+  nodes.push_back(make_node(0, group0, directory.address()));
+  nodes.push_back(make_node(1, group0, directory.address()));
+  nodes.push_back(make_node(2, group1, directory.address()));
+  nodes.push_back(make_node(3, group1, directory.address()));
 
   cluster::DirectoryClient waiter(directory.address());
   waiter.wait_for_servers(kService, 4);
@@ -135,7 +143,7 @@ int main(int argc, char** argv) {
           kTranslate, partition,
           std::span(reinterpret_cast<const std::uint8_t*>(args.data()),
                     args.size()));
-      if (!result.transport_ok || result.status != neptune::RpcStatus::kOk) {
+      if (!result.transport_ok || result.status != net::RpcStatus::kOk) {
         ++mismatches;
         continue;
       }
@@ -160,10 +168,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(client.stats().mapping_refreshes));
 
   for (auto& node : nodes) {
+    node->stop();
     std::printf("node %d served %lld accesses\n", node->id(),
-                static_cast<long long>(node->accesses_served()));
+                static_cast<long long>(node->counters().requests_served));
   }
-  for (auto& node : nodes) node->stop();
   directory.stop();
   return mismatches == 0 ? 0 : 1;
 }

@@ -154,7 +154,7 @@ ClientNode::ClientNode(ClientOptions options,
     net::Subscribe subscribe;
     subscribe.ttl_ms = kSubscribeTtlMs;
     if (!send_fixed(subscribe, [&](auto p) { return broadcast_socket_->send(p); })) {
-      ++stats_.send_failures;
+      bump(stats_.send_failures, m_send_failures_);
     }
     subscribe_refresh_at_ =
         net::monotonic_now() +
@@ -184,7 +184,7 @@ void ClientNode::run() {
       subscribe.ttl_ms = kSubscribeTtlMs;
       if (!send_fixed(subscribe,
                       [&](auto p) { return broadcast_socket_->send(p); })) {
-        ++stats_.send_failures;
+        bump(stats_.send_failures, m_send_failures_);
       }
       subscribe_refresh_at_ =
           now + static_cast<SimDuration>(kSubscribeTtlMs / 2) * kMillisecond;
@@ -193,7 +193,8 @@ void ClientNode::run() {
     // Fire due arrivals (possibly several if the loop fell behind).
     while (stats_.issued < options_.total_requests && next_arrival <= now) {
       Access access;
-      access.index = stats_.issued++;
+      access.index = stats_.issued;
+      bump(stats_.issued, m_issued_);
       access.started_at = now;
       access.service_us = static_cast<std::uint32_t>(
           pending.service_time / kMicrosecond);
@@ -282,9 +283,8 @@ std::span<const ServerId> ClientNode::candidate_indices(SimTime now) {
   if (options_.blacklist_cooldown > 0) {
     const std::int64_t hits_before = blacklist_.hits();
     blacklist_.filter_in_place(live, now);
-    const std::int64_t hits = blacklist_.hits() - hits_before;
-    stats_.blacklist_hits += hits;
-    if (hits > 0) m_blacklist_hits_.add(hits);
+    bump(stats_.blacklist_hits, m_blacklist_hits_,
+         blacklist_.hits() - hits_before);
   }
   return live;
 }
@@ -293,8 +293,7 @@ void ClientNode::mark_failed(std::size_t server_index, SimTime now) {
   if (options_.blacklist_cooldown <= 0) return;
   if (++consecutive_timeouts_[server_index] >= options_.blacklist_after) {
     blacklist_.add(server_index, now + options_.blacklist_cooldown);
-    ++stats_.blacklist_insertions;
-    m_blacklist_insertions_.inc();
+    bump(stats_.blacklist_insertions, m_blacklist_insertions_);
   }
 }
 
@@ -313,7 +312,6 @@ void ClientNode::record_outcome(SimTime now, bool completed,
 }
 
 void ClientNode::begin_access(const Access& access) {
-  m_issued_.inc();
   m_in_flight_.fetch_add(1, std::memory_order_relaxed);
   if (trace_.sampled(static_cast<std::uint64_t>(access.index))) {
     trace_.record(request_key(access.index),
@@ -346,7 +344,7 @@ void ClientNode::begin_access(const Access& access) {
       acquire.seq = seq;
       if (!send_fixed(acquire,
                       [&](auto p) { return manager_socket_->send(p); })) {
-        ++stats_.send_failures;
+        bump(stats_.send_failures, m_send_failures_);
         ++stats_.manager_timeouts;
         dispatch(access, rng_.uniform_int(options_.servers.size()));
         return;
@@ -413,11 +411,9 @@ void ClientNode::start_poll_round(const Access& access) {
   const std::span<const std::uint8_t> payload(buf.data(), n);
   for (const ServerId target : round.targets) {
     if (poll_sockets_[static_cast<std::size_t>(target)].send(payload)) {
-      ++stats_.polls_sent;
-      m_polls_sent_.inc();
+      bump(stats_.polls_sent, m_polls_sent_);
     } else {
-      ++stats_.send_failures;
-      m_send_failures_.inc();
+      bump(stats_.send_failures, m_send_failures_);
     }
   }
   if (traced) {
@@ -433,9 +429,8 @@ void ClientNode::finish_poll_round(std::size_t index) {
   PollRound& round = poll_rounds_[index];
   const SimTime now = net::monotonic_now();
   if (should_record(round.access)) {
-    const double ms = to_ms(now - round.access.started_at);
-    stats_.poll_time_ms.add(ms);
-    m_poll_time_ms_.record(ms);
+    record(stats_.poll_time_ms, m_poll_time_ms_,
+           to_ms(now - round.access.started_at));
   }
   std::size_t target = 0;
   // Audit context for the core/selection.h choke point: the decision lands
@@ -454,8 +449,7 @@ void ClientNode::finish_poll_round(std::size_t index) {
     // current candidate set over the polled targets — if the targets were
     // since blacklisted or dropped from the mapping, re-picking among them
     // would just hit the same dead servers again.
-    ++stats_.fallback_dispatches;
-    m_fallback_dispatches_.inc();
+    bump(stats_.fallback_dispatches, m_fallback_dispatches_);
     const std::int64_t hits_before = blacklist_.hits();
     const auto candidates = candidate_indices(now);
     ctx.blacklist_filtered = static_cast<std::uint8_t>(
@@ -505,10 +499,9 @@ void ClientNode::dispatch(const Access& access, std::size_t server_index,
   }
   if (!send_fixed(request,
                   [&](auto p) { return service_socket_.send_to(p, dest); })) {
-    ++stats_.send_failures;
-    m_send_failures_.inc();
-    ++stats_.response_timeouts;  // counts as a failed access
-    m_response_timeouts_.inc();
+    bump(stats_.send_failures, m_send_failures_);
+    // Counts as a failed access.
+    bump(stats_.response_timeouts, m_response_timeouts_);
     ++resolved_;
     m_in_flight_.fetch_sub(1, std::memory_order_relaxed);
     record_outcome(net::monotonic_now(), /*completed=*/false, 0.0);
@@ -552,11 +545,10 @@ void ClientNode::drain_service_socket() {
       const SimTime now = net::monotonic_now();
       const double rt_ms = to_ms(now - out.access.started_at);
       if (should_record(out.access)) {
-        stats_.response_ms.add(rt_ms);
+        record(stats_.response_ms, m_response_time_ms_, rt_ms);
         stats_.response_hist_ms.add(rt_ms);
         stats_.queue_at_arrival.add(response.queue_at_arrival);
         ++stats_.recorded;
-        m_response_time_ms_.record(rt_ms);
       }
       if (trace_.sampled(static_cast<std::uint64_t>(out.access.index))) {
         trace_.record(request_key(out.access.index),
@@ -566,8 +558,7 @@ void ClientNode::drain_service_socket() {
       }
       record_outcome(now, /*completed=*/true, rt_ms);
       consecutive_timeouts_[out.server_index] = 0;
-      ++stats_.completed;
-      m_completed_.inc();
+      bump(stats_.completed, m_completed_);
       ++resolved_;
       m_in_flight_.fetch_sub(1, std::memory_order_relaxed);
       if (out.manager_acquired) release_manager_slot(out.server_index);
@@ -614,8 +605,7 @@ void ClientNode::answer_decision_inquiry(std::uint64_t seq,
   std::vector<std::uint8_t> buf(reply.encoded_size());
   const std::size_t n = reply.encode_into(buf);
   if (n == 0 || !service_socket_.send_to({buf.data(), n}, to)) {
-    ++stats_.send_failures;
-    m_send_failures_.inc();
+    bump(stats_.send_failures, m_send_failures_);
   }
 }
 
@@ -651,7 +641,8 @@ void ClientNode::drain_manager_socket() {
       index = rng_.uniform_int(options_.servers.size());
     }
     if (should_record(access)) {
-      stats_.poll_time_ms.add(to_ms(net::monotonic_now() - access.started_at));
+      record(stats_.poll_time_ms, m_poll_time_ms_,
+             to_ms(net::monotonic_now() - access.started_at));
     }
     dispatch(access, index, /*manager_acquired=*/true);
   }
@@ -692,8 +683,8 @@ void ClientNode::drain_poll_socket(std::size_t server_index) {
         }
       }
       if (idx == poll_rounds_.size()) {
-        ++stats_.polls_discarded;  // reply arrived after the round was decided
-        m_polls_discarded_.inc();
+        // The reply arrived after the round was decided.
+        bump(stats_.polls_discarded, m_polls_discarded_);
         // The owning round is gone, but the reply echoes its trace id, so a
         // traced request's late replies still land under the right key
         // (untraced rounds fall back to sequence-sampled discards).
@@ -708,9 +699,8 @@ void ClientNode::drain_poll_socket(std::size_t server_index) {
       }
       PollRound& round = poll_rounds_[idx];
       if (should_record(round.access)) {
-        const double rtt_ms = to_ms(net::monotonic_now() - round.sent_at);
-        stats_.poll_rtt_ms.add(rtt_ms);
-        m_poll_rtt_ms_.record(rtt_ms);
+        record(stats_.poll_rtt_ms, m_poll_rtt_ms_,
+               to_ms(net::monotonic_now() - round.sent_at));
       }
       if (trace_.sampled(static_cast<std::uint64_t>(round.access.index))) {
         trace_.record(request_key(round.access.index),
@@ -738,8 +728,7 @@ void ClientNode::fire_deadlines(SimTime now) {
   // Poll rounds past their deadline: decide with whatever arrived.
   for (std::size_t i = 0; i < poll_rounds_.size();) {
     if (poll_rounds_[i].deadline <= now) {
-      ++stats_.polls_timed_out;
-      m_polls_timed_out_.inc();
+      bump(stats_.polls_timed_out, m_polls_timed_out_);
       finish_poll_round(i);  // swap-removes index i
     } else {
       ++i;
@@ -782,8 +771,7 @@ void ClientNode::fire_deadlines(SimTime now) {
                              pick_random(candidate_indices(now), rng_)));
       } else {
         record_outcome(now, /*completed=*/false, 0.0);
-        ++stats_.response_timeouts;
-        m_response_timeouts_.inc();
+        bump(stats_.response_timeouts, m_response_timeouts_);
         ++resolved_;
         m_in_flight_.fetch_sub(1, std::memory_order_relaxed);
       }
@@ -797,7 +785,7 @@ void ClientNode::release_manager_slot(std::size_t server_index) {
   net::Release release;
   release.server = options_.servers[server_index].id;
   if (!send_fixed(release, [&](auto p) { return manager_socket_->send(p); })) {
-    ++stats_.send_failures;
+    bump(stats_.send_failures, m_send_failures_);
   }
 }
 

@@ -284,6 +284,20 @@ class ClientNode {
   void record_outcome(SimTime now, bool completed, double response_ms);
   void mark_failed(std::size_t server_index, SimTime now);
 
+  // Every ClientStats field with a registry mirror changes only through
+  // these two, so the record and its mirror cannot diverge.
+  static void bump(std::int64_t& stat, const telemetry::Counter& mirror,
+                   std::int64_t n = 1) {
+    stat += n;
+    mirror.add(n);
+  }
+  template <class Stat>
+  static void record(Stat& stat, const telemetry::Histogram& mirror,
+                     double value) {
+    stat.add(value);
+    mirror.record(value);
+  }
+
   ClientOptions options_;
   std::unique_ptr<RequestSource> source_;
   Rng rng_;

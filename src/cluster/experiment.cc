@@ -126,7 +126,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config,
     }
     for (auto& server : servers) {
       server->enable_publishing(directory_addrs, kExperimentService,
-                                /*partition=*/0, config.publish_interval,
+                                /*partitions=*/{0}, config.publish_interval,
                                 config.publish_ttl);
     }
   }

@@ -48,25 +48,19 @@ net::Address ServerNode::load_address() const {
   return load_socket_.local_address();
 }
 
-void ServerNode::enable_publishing(const net::Address& directory,
-                                   std::string service,
-                                   std::uint32_t partition,
-                                   SimDuration interval, SimDuration ttl) {
-  enable_publishing(std::vector<net::Address>{directory}, std::move(service),
-                    partition, interval, ttl);
-}
-
 void ServerNode::enable_publishing(std::vector<net::Address> directories,
                                    std::string service,
-                                   std::uint32_t partition,
+                                   std::vector<std::uint32_t> partitions,
                                    SimDuration interval, SimDuration ttl) {
   FINELB_CHECK(!running_.load(), "enable_publishing must precede start()");
   FINELB_CHECK(!directories.empty(), "need at least one directory target");
+  FINELB_CHECK(!service.empty(), "published service needs a name");
+  FINELB_CHECK(!partitions.empty(), "must publish at least one partition");
   FINELB_CHECK(interval > 0 && ttl > 0, "publish interval and ttl required");
   publish_enabled_ = true;
   directories_ = std::move(directories);
   publish_service_ = std::move(service);
-  publish_partition_ = partition;
+  publish_partitions_ = std::move(partitions);
   publish_interval_ = interval;
   publish_ttl_ = ttl;
 }
@@ -111,7 +105,9 @@ void ServerNode::stop() {
 void ServerNode::service_recv_loop() {
   net::Poller poller;
   poller.add(service_socket_.fd(), 0);
-  net::DatagramBatch batch(32, 256);
+  // Experiment requests are fixed-size; a custom handler's RPC args may
+  // fill a whole datagram.
+  net::DatagramBatch batch(32, options_.handler ? 64 * 1024 : 256);
   while (running_.load(std::memory_order_relaxed)) {
     if (poller.wait(50 * kMillisecond).empty()) continue;
     // Drain the burst with one recvmmsg per batch instead of one recvfrom
@@ -162,21 +158,24 @@ void ServerNode::load_recv_loop() {
   };
   std::vector<DelayedReply> delayed;
 
-  const auto send_reply = [this](std::uint64_t seq, std::uint64_t trace_id,
-                                 std::int64_t origin_ns,
-                                 const net::Address& to) {
+  // Queue length at *reply* time: the paper's slow replies carry stale
+  // indexes precisely because the queue moved while they waited.
+  const auto make_reply = [this](std::uint64_t seq, std::uint64_t trace_id,
+                                 std::int64_t origin_ns, SimTime now) {
     net::LoadReply reply;
     reply.seq = seq;
-    // Queue length at *reply* time: the paper's slow replies carry stale
-    // indexes precisely because the queue moved while they waited.
     reply.queue_length = qlen_.load(std::memory_order_relaxed);
     reply.trace_id = trace_id;
     reply.origin_ns = origin_ns;
-    reply.server_ns = net::monotonic_now();
+    reply.server_ns = now;
     if (trace_id != 0 && trace_.active()) {
       trace_.record(trace_id, telemetry::TracePoint::kLoadReplied,
-                    options_.id, reply.server_ns, reply.queue_length);
+                    options_.id, now, reply.queue_length);
     }
+    return reply;
+  };
+  const auto send_reply = [this](const net::LoadReply& reply,
+                                 const net::Address& to) {
     std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
     const std::size_t n = reply.encode_into(buf);
     if (!load_socket_.send_to({buf.data(), n}, to)) {
@@ -244,27 +243,15 @@ void ServerNode::load_recv_loop() {
                              inquiries.address(i),
                              net::monotonic_now() + delay});
         } else {
-          // Queue length at *reply* time, as in send_reply: batching spans
-          // one drained burst, so the index is at most a burst stale.
-          net::LoadReply reply;
-          reply.seq = inquiry.seq;
-          reply.queue_length = qlen;
-          reply.trace_id = inquiry.trace_id;
-          reply.origin_ns = inquiry.origin_ns;
-          reply.server_ns = burst_ns;
-          if (inquiry.trace_id != 0 && trace_.active()) {
-            trace_.record(inquiry.trace_id,
-                          telemetry::TracePoint::kLoadReplied, options_.id,
-                          burst_ns, qlen);
-          }
+          const net::LoadReply reply = make_reply(
+              inquiry.seq, inquiry.trace_id, inquiry.origin_ns, burst_ns);
           // Encode straight into the batch slot (no intermediate vector or
           // memcpy); fall back to an immediate send when the batch is full.
           const auto slot = replies.stage();
           if (const std::size_t n = reply.encode_into(slot); n > 0) {
             replies.commit(n, inquiries.address(i));
           } else {
-            send_reply(inquiry.seq, inquiry.trace_id, inquiry.origin_ns,
-                       inquiries.address(i));
+            send_reply(reply, inquiries.address(i));
           }
         }
       }
@@ -281,8 +268,9 @@ void ServerNode::load_recv_loop() {
       const SimTime now = net::monotonic_now();
       for (std::size_t i = 0; i < delayed.size();) {
         if (delayed[i].due <= now) {
-          send_reply(delayed[i].seq, delayed[i].trace_id,
-                     delayed[i].origin_ns, delayed[i].to);
+          send_reply(make_reply(delayed[i].seq, delayed[i].trace_id,
+                                delayed[i].origin_ns, net::monotonic_now()),
+                     delayed[i].to);
           delayed[i] = delayed.back();
           delayed.pop_back();
         } else {
@@ -326,14 +314,13 @@ void ServerNode::worker_loop() {
       trace_.record(item.request.request_id, telemetry::TracePoint::kServiceStart,
                     options_.id, start, queue_wait);
     }
-    const SimTime deadline =
-        start + static_cast<SimDuration>(item.request.service_us) * kMicrosecond;
-    if (options_.spin_service) {
-      net::spin_until(deadline);
-    } else {
-      net::sleep_until(deadline);
-    }
     net::ServiceResponse response;
+    if (options_.handler) {
+      options_.handler(item.request, response);
+    } else {
+      net::sleep_until(start + static_cast<SimDuration>(
+                                   item.request.service_us) * kMicrosecond);
+    }
     response.request_id = item.request.request_id;
     response.server = options_.id;
     response.queue_at_arrival = item.queue_at_arrival;
@@ -341,9 +328,12 @@ void ServerNode::worker_loop() {
     if (item.request.trace_id != 0) {
       response.server_ns = net::monotonic_now();
     }
-    std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
-    const std::size_t n = response.encode_into(buf);
-    if (!service_socket_.send_to({buf.data(), n}, item.reply_to)) {
+    // Thread-local scratch: no per-response heap buffer, whatever the
+    // result size.
+    const std::span<std::uint8_t> out =
+        net::thread_scratch(response.encoded_size());
+    const std::size_t n = response.encode_into(out);
+    if (n == 0 || !service_socket_.send_to(out.subspan(0, n), item.reply_to)) {
       send_failures_.fetch_add(1, std::memory_order_relaxed);
       m_send_failures_.inc();
     }
@@ -363,17 +353,25 @@ void ServerNode::worker_loop() {
 
 void ServerNode::publish_loop() {
   net::UdpSocket publish_socket;
-  net::Publish announcement;
-  announcement.service = publish_service_;
-  announcement.partition = publish_partition_;
-  announcement.server = options_.id;
-  announcement.service_port = service_address().port;
-  announcement.load_port = load_address().port;
-  announcement.ttl_ms = static_cast<std::uint32_t>(to_ms(publish_ttl_));
-  const auto payload = announcement.encode();
+  // One announcement per hosted partition, as the paper's nodes publish
+  // "the service type, the data partitions it hosts, and the access
+  // interface".
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (const std::uint32_t partition : publish_partitions_) {
+    net::Publish announcement;
+    announcement.service = publish_service_;
+    announcement.partition = partition;
+    announcement.server = options_.id;
+    announcement.service_port = service_address().port;
+    announcement.load_port = load_address().port;
+    announcement.ttl_ms = static_cast<std::uint32_t>(to_ms(publish_ttl_));
+    payloads.push_back(announcement.encode());
+  }
   while (running_.load(std::memory_order_relaxed)) {
     for (const net::Address& directory : directories_) {
-      publish_socket.send_to(payload, directory);
+      for (const auto& payload : payloads) {
+        publish_socket.send_to(payload, directory);
+      }
     }
     // Wake periodically so stop() is honoured promptly even with long
     // publish intervals.

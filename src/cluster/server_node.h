@@ -4,7 +4,10 @@
 //   * a service access point — a UDP socket receiving ServiceRequest
 //     datagrams, feeding a FIFO request queue drained by a worker thread
 //     pool (default pool size 1, matching the simulator's non-preemptive
-//     processing unit);
+//     processing unit). Workers run each request through the node's
+//     request handler: by default the experiment service (hold the worker
+//     for the request's service_us), or an application's RPC methods
+//     (neptune::MethodTable);
 //   * a load-index server — a second UDP socket answering LoadInquiry
 //     datagrams with the node's current queue length;
 //   * an optional publisher that announces the node on the service
@@ -34,6 +37,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,13 +54,19 @@
 
 namespace finelb::cluster {
 
+/// Serves one request on a worker thread by setting `response.status` and
+/// `response.result`; the node fills in every other response field. Runs
+/// concurrently with itself when the pool has more than one worker.
+using RequestHandler = std::function<void(const net::ServiceRequest& request,
+                                          net::ServiceResponse& response)>;
+
 struct ServerOptions {
   ServerId id = 0;
   /// Worker pool size; 1 mirrors the simulator's single processing unit.
   int worker_threads = 1;
-  /// Busy-spin instead of deadline-sleep for service execution (only
-  /// sensible when cores >= concurrent servers; see DESIGN.md §3).
-  bool spin_service = false;
+  /// Request handler; empty = the experiment service, which holds the
+  /// worker until service_us after dequeue (deadline sleep, DESIGN.md §3).
+  RequestHandler handler;
 
   bool inject_busy_reply_delay = true;
   // Short tail (network stack / softirq): Pareto(alpha, x_m), capped.
@@ -107,19 +117,15 @@ class ServerNode {
   /// Stops all threads and closes the queue; joins before returning.
   void stop();
 
-  /// Begins periodic soft-state announcements to the availability channel.
-  /// Must be called before start().
-  void enable_publishing(const net::Address& directory, std::string service,
-                         std::uint32_t partition, SimDuration interval,
-                         SimDuration ttl);
-
-  /// Replicated-directory variant: announce to *every* replica each round.
-  /// Publishing to all replicas (rather than just the leader) is what lets
-  /// directory failover skip log replication — every replica's soft-state
-  /// table converges independently within one refresh interval
-  /// (DESIGN.md §12). Must be called before start().
+  /// Begins periodic soft-state announcements to the availability channel:
+  /// one Publish per hosted partition, sent to *every* directory replica
+  /// each round. Publishing to all replicas (rather than just the leader)
+  /// is what lets directory failover skip log replication — every
+  /// replica's soft-state table converges independently within one refresh
+  /// interval (DESIGN.md §12). Must be called before start().
   void enable_publishing(std::vector<net::Address> directories,
-                         std::string service, std::uint32_t partition,
+                         std::string service,
+                         std::vector<std::uint32_t> partitions,
                          SimDuration interval, SimDuration ttl);
 
   /// Begins periodic load announcements on a broadcast channel — the
@@ -202,7 +208,7 @@ class ServerNode {
   bool publish_enabled_ = false;
   std::vector<net::Address> directories_;
   std::string publish_service_;
-  std::uint32_t publish_partition_ = 0;
+  std::vector<std::uint32_t> publish_partitions_;
   SimDuration publish_interval_ = 0;
   SimDuration publish_ttl_ = 0;
 

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <type_traits>
 
 namespace finelb {
@@ -78,5 +79,28 @@ class Seqlock {
   std::atomic<std::uint32_t> seq_{0};
   std::atomic<std::uint64_t> data_[kWords] = {};
 };
+
+/// Write side of a multi-writer seqlock ring slot (the telemetry trace and
+/// decision rings): `seq` holds 2*claim+1 while ring claim `claim` writes
+/// the slot and 2*claim+2 once sealed. Marks the slot in progress for
+/// `claim`, first waiting out an older lap's writer still inside it — a
+/// writer preempted for a whole lap would otherwise interleave its stores
+/// with the next lap's, and a reader could find a seal over mixed fields.
+/// Returns false, and the caller writes nothing, when a newer claim
+/// already owns the slot.
+inline bool begin_ring_slot_write(std::atomic<std::uint64_t>& seq,
+                                  std::uint64_t claim) {
+  std::uint64_t seen = seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if (seen > 2 * claim) return false;
+    if (seen % 2 == 1) {
+      std::this_thread::yield();
+      seen = seq.load(std::memory_order_relaxed);
+    } else if (seq.compare_exchange_weak(seen, 2 * claim + 1,
+                                         std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+}
 
 }  // namespace finelb

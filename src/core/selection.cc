@@ -105,18 +105,6 @@ bool Blacklist::contains(std::size_t index, SimTime now) const {
   return index < until_.size() && until_[index] > now;
 }
 
-std::vector<ServerId> Blacklist::filter(std::span<const ServerId> candidates,
-                                        SimTime now) {
-  std::vector<ServerId> live;
-  live.reserve(candidates.size());
-  for (const ServerId id : candidates) {
-    if (!contains(static_cast<std::size_t>(id), now)) live.push_back(id);
-  }
-  if (live.empty()) return {candidates.begin(), candidates.end()};
-  hits_ += static_cast<std::int64_t>(candidates.size() - live.size());
-  return live;
-}
-
 void Blacklist::filter_in_place(std::vector<ServerId>& candidates,
                                 SimTime now) {
   // First pass decides whether the fallback applies; only then compact, so

@@ -134,16 +134,10 @@ class Blacklist {
   /// True when `index` is blacklisted at time `now`.
   bool contains(std::size_t index, SimTime now) const;
 
-  /// Candidates not blacklisted at `now`. Falls back to returning all
-  /// candidates when every one of them is blacklisted — a degraded cluster
-  /// must still be dispatched to, matching the poll-round fallback rule.
-  /// Each excluded candidate counts as one blacklist hit.
-  std::vector<ServerId> filter(std::span<const ServerId> candidates,
-                               SimTime now);
-
-  /// Allocation-free variant: removes blacklisted entries from `candidates`
-  /// in place (order preserved), with the same all-blacklisted fallback
-  /// (the vector is then left untouched and no hits are counted).
+  /// Removes candidates blacklisted at `now` in place (order preserved).
+  /// When every candidate is blacklisted the vector is left untouched — a
+  /// degraded cluster must still be dispatched to, matching the poll-round
+  /// fallback rule. Each excluded candidate counts as one blacklist hit.
   void filter_in_place(std::vector<ServerId>& candidates, SimTime now);
 
   std::int64_t insertions() const { return insertions_; }

@@ -4,14 +4,18 @@
 #include <array>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "net/clock.h"
 
 namespace finelb::neptune {
 namespace {
 
-std::uint64_t address_key(const net::Address& addr) {
-  return (static_cast<std::uint64_t>(addr.host) << 16) | addr.port;
+const cluster::ServiceEndpoint& endpoint_of(
+    const std::vector<cluster::ServiceEndpoint>& group, ServerId server) {
+  const auto it = std::find_if(
+      group.begin(), group.end(),
+      [server](const cluster::ServiceEndpoint& e) { return e.server == server; });
+  FINELB_CHECK(it != group.end(), "chosen server is not in the group");
+  return *it;
 }
 
 }  // namespace
@@ -26,8 +30,15 @@ ServiceClient::ServiceClient(ServiceClientOptions options)
                    options_.policy.kind == PolicyKind::kRoundRobin ||
                    options_.policy.kind == PolicyKind::kPolling,
                "service client supports random, round-robin, and polling");
-  rpc_poller_.add(rpc_socket_.fd(), 0);
+  poller_.add(socket_.fd(), 0);
   refresh_mapping(/*force=*/true);
+}
+
+ServiceClientStats ServiceClient::stats() const {
+  ServiceClientStats stats = stats_;
+  stats.blacklist_insertions = blacklist_.insertions();
+  stats.blacklist_hits = blacklist_.hits();
+  return stats;
 }
 
 void ServiceClient::refresh_mapping(bool force) {
@@ -37,10 +48,8 @@ void ServiceClient::refresh_mapping(bool force) {
   // Every retry path funnels through here, so this is what bounds the
   // retry rate against a struggling directory.
   if (now < refresh_backoff_until_) return;
-  std::vector<cluster::ServiceEndpoint> snapshot;
-  try {
-    snapshot = directory_.fetch(options_.service_name);
-  } catch (const InvariantError&) {
+  const auto snapshot = directory_.try_fetch(options_.service_name);
+  if (!snapshot) {
     // Directory unreachable: keep the stale table (stale beats empty) and
     // back off exponentially with jitter, capped at 8x the refresh period.
     ++stats_.refresh_failures;
@@ -58,38 +67,11 @@ void ServiceClient::refresh_mapping(bool force) {
   refresh_backoff_ = 0;
   refresh_backoff_until_ = 0;
   mapping_.clear();
-  for (const auto& endpoint : snapshot) {
+  for (const auto& endpoint : *snapshot) {
     mapping_[endpoint.partition].push_back(endpoint);
   }
   mapping_fetched_at_ = now;
   ++stats_.mapping_refreshes;
-}
-
-std::span<const std::size_t> ServiceClient::live_indices(
-    const std::vector<cluster::ServiceEndpoint>& group, SimTime now) {
-  std::vector<std::size_t>& live = live_scratch_;
-  live.clear();
-  if (options_.blacklist_cooldown > 0) {
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      const auto it = blacklist_until_.find(group[i].server);
-      if (it != blacklist_until_.end() && it->second > now) {
-        ++stats_.blacklist_hits;
-      } else {
-        live.push_back(i);
-      }
-    }
-  }
-  if (live.empty()) {
-    for (std::size_t i = 0; i < group.size(); ++i) live.push_back(i);
-  }
-  return live;
-}
-
-void ServiceClient::mark_timed_out(ServerId server, SimTime now) {
-  if (options_.blacklist_cooldown <= 0) return;
-  SimTime& until = blacklist_until_[server];
-  until = std::max(until, now + options_.blacklist_cooldown);
-  ++stats_.blacklist_insertions;
 }
 
 std::size_t ServiceClient::replicas(std::uint32_t partition) {
@@ -98,103 +80,91 @@ std::size_t ServiceClient::replicas(std::uint32_t partition) {
   return it == mapping_.end() ? 0 : it->second.size();
 }
 
-net::UdpSocket& ServiceClient::poll_socket_for(const net::Address& addr) {
-  const std::uint64_t key = address_key(addr);
-  const auto it = poll_sockets_.find(key);
-  if (it != poll_sockets_.end()) return it->second;
-  net::UdpSocket socket;
-  socket.connect(addr);
-  return poll_sockets_.emplace(key, std::move(socket)).first->second;
+ServerId ServiceClient::choose(const Group& group) {
+  candidates_.clear();
+  for (const auto& endpoint : group) candidates_.push_back(endpoint.server);
+  if (options_.blacklist_cooldown > 0) {
+    blacklist_.filter_in_place(candidates_, net::monotonic_now());
+  }
+  if (candidates_.size() == 1) return candidates_.front();
+  // The constructor admits only these three policies.
+  if (options_.policy.kind == PolicyKind::kRandom) {
+    return pick_random(candidates_, rng_);
+  }
+  if (options_.policy.kind == PolicyKind::kRoundRobin) {
+    return rr_.next(candidates_);
+  }
+  return poll_least_loaded(group);
 }
 
-std::size_t ServiceClient::choose(
-    const std::vector<cluster::ServiceEndpoint>& group) {
-  if (group.size() == 1) return 0;
-  // Replica choice runs over the group minus blacklisted (recently timed
-  // out) replicas; ids may be sparse so cycle group positions, not ids.
-  const std::span<const std::size_t> live =
-      live_indices(group, net::monotonic_now());
-  if (live.size() == 1) return live.front();
-  position_scratch_.resize(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    position_scratch_[i] = static_cast<ServerId>(live[i]);
-  }
-  switch (options_.policy.kind) {
-    case PolicyKind::kRandom:
-      return live[rng_.uniform_int(live.size())];
-    case PolicyKind::kRoundRobin:
-      return static_cast<std::size_t>(rr_.next(position_scratch_));
-    case PolicyKind::kPolling:
-      break;
-    default:
-      FINELB_CHECK(false, "unreachable: policy validated in constructor");
-  }
-
-  // Random polling over the live replica positions: partial Fisher-Yates
-  // in place on position_scratch_ (it already holds the candidates, so the
-  // copying choose_poll_set_into would be a wasted pass).
-  std::vector<ServerId>& targets = position_scratch_;
-  {
-    const std::size_t n = targets.size();
-    const std::size_t k =
-        std::min(static_cast<std::size_t>(options_.policy.poll_size), n);
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t j = i + rng_.uniform_int(n - i);
-      std::swap(targets[i], targets[j]);
-    }
-    targets.resize(k);
-  }
-
-  poll_poller_.clear();
-  seq_to_index_.clear();
-  for (const ServerId position : targets) {
-    const auto index = static_cast<std::size_t>(position);
-    net::UdpSocket& socket = poll_socket_for(group[index].load_addr);
+ServerId ServiceClient::poll_least_loaded(const Group& group) {
+  choose_poll_set_into(candidates_,
+                       static_cast<std::size_t>(options_.policy.poll_size),
+                       rng_, poll_set_);
+  // Inquiry i of this round carries sequence base + i, so a reply maps
+  // straight back to its server and replies from earlier rounds fall
+  // outside [base, base + k).
+  const std::uint64_t base = next_id_;
+  next_id_ += poll_set_.size();
+  std::size_t sent = 0;
+  for (std::size_t i = 0; i < poll_set_.size(); ++i) {
     net::LoadInquiry inquiry;
-    inquiry.seq = next_id_++;
-    std::array<std::uint8_t, net::kMaxFixedMsgSize> inquiry_buf;
-    const std::size_t inquiry_len = inquiry.encode_into(inquiry_buf);
-    if (!socket.send({inquiry_buf.data(), inquiry_len})) continue;
-    ++stats_.polls_sent;
-    seq_to_index_.emplace_back(inquiry.seq, index);
-    poll_poller_.add(socket.fd(), inquiry.seq);
+    inquiry.seq = base + i;
+    std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
+    const std::size_t n = inquiry.encode_into(buf);
+    if (socket_.send_to({buf.data(), n},
+                        endpoint_of(group, poll_set_[i]).load_addr)) {
+      ++sent;
+    }
   }
-  if (seq_to_index_.empty()) return live[rng_.uniform_int(live.size())];
+  stats_.polls_sent += static_cast<std::int64_t>(sent);
 
   const SimDuration wait = options_.policy.discard_timeout > 0
                                ? options_.policy.discard_timeout
                                : options_.max_poll_wait;
   const SimTime deadline = net::monotonic_now() + wait;
-  std::vector<ServerLoad>& replies = reply_scratch_;
-  replies.clear();
-  std::array<std::uint8_t, 64> buf{};
-  while (replies.size() < seq_to_index_.size()) {
+  replies_.clear();
+  std::array<std::uint8_t, net::kMaxFixedMsgSize> buf{};
+  while (replies_.size() < sent) {
     const SimDuration left = deadline - net::monotonic_now();
     if (left <= 0) break;  // discard outstanding slow polls
-    for (const net::Ready& ready : poll_poller_.wait(left)) {
-      if (!ready.readable) continue;
-      const std::pair<std::uint64_t, std::size_t>* entry = nullptr;
-      for (const auto& candidate : seq_to_index_) {
-        if (candidate.first == ready.tag) {
-          entry = &candidate;
-          break;
-        }
+    poller_.wait(left);
+    while (auto dgram = socket_.recv_from(buf)) {
+      net::LoadReply reply;
+      if (!net::LoadReply::try_decode(std::span(buf.data(), dgram->size),
+                                      reply) ||
+          reply.seq - base >= poll_set_.size()) {
+        continue;  // stale reply or a late RPC response
       }
-      if (entry == nullptr) continue;
-      net::UdpSocket& socket = poll_socket_for(group[entry->second].load_addr);
-      while (auto size = socket.recv(buf)) {
-        net::LoadReply reply;
-        if (!net::LoadReply::try_decode(std::span(buf.data(), *size), reply)) {
-          continue;
-        }
-        if (reply.seq != entry->first) continue;  // stale reply
-        replies.push_back({static_cast<ServerId>(entry->second),
-                           reply.queue_length, net::monotonic_now()});
-      }
+      replies_.push_back({poll_set_[reply.seq - base], reply.queue_length,
+                          net::monotonic_now()});
     }
   }
-  if (replies.empty()) return live[rng_.uniform_int(live.size())];
-  return static_cast<std::size_t>(pick_least_loaded(replies, rng_));
+  if (replies_.empty()) return pick_random(candidates_, rng_);
+  return pick_least_loaded(replies_, rng_);
+}
+
+bool ServiceClient::await_response(std::uint64_t request_id,
+                                   CallResult& result) {
+  const std::span<std::uint8_t> buf = net::thread_scratch(64 * 1024);
+  const SimTime deadline = net::monotonic_now() + options_.rpc_timeout;
+  net::ServiceResponse response;
+  while (net::monotonic_now() < deadline) {
+    poller_.wait(deadline - net::monotonic_now());
+    while (auto dgram = socket_.recv_from(buf)) {
+      if (!net::ServiceResponse::try_decode(std::span(buf.data(), dgram->size),
+                                            response) ||
+          response.request_id != request_id) {
+        continue;  // stale response or a late poll reply
+      }
+      result.status = response.status;
+      result.transport_ok = true;
+      result.data = std::move(response.result);
+      result.server = response.server;
+      return true;
+    }
+  }
+  return false;
 }
 
 CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
@@ -204,12 +174,9 @@ CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
   CallResult result;
 
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ++stats_.retries;
-      refresh_mapping(/*force=*/true);  // replica set may have changed
-    } else {
-      refresh_mapping(/*force=*/false);
-    }
+    if (attempt > 0) ++stats_.retries;
+    // A retry re-pulls the table: the replica set may have changed.
+    refresh_mapping(/*force=*/attempt > 0);
     const auto group_it = mapping_.find(partition);
     if (group_it == mapping_.end() || group_it->second.empty()) {
       refresh_mapping(/*force=*/true);
@@ -220,49 +187,29 @@ CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
           static_cast<double>(10 * kMillisecond) * rng_.uniform(0.5, 1.5)));
       continue;
     }
-    const auto& group = group_it->second;
-    const std::size_t target = choose(group);
+    const Group& group = group_it->second;
+    const cluster::ServiceEndpoint& target = endpoint_of(group, choose(group));
 
-    // request_scratch_.args reuses its capacity across calls; the encoded
-    // datagram goes through the per-thread scratch buffer, so a warmed-up
-    // client issues RPCs without touching the allocator.
-    RpcRequest& request = request_scratch_;
-    request.request_id = next_id_++;
-    request.method = method;
-    request.partition = partition;
-    request.args.assign(args.begin(), args.end());
-    {
-      const std::span<std::uint8_t> out =
-          net::thread_scratch(request.encoded_size());
-      const std::size_t n = request.encode_into(out);
-      if (!rpc_socket_.send_to(out.subspan(0, n),
-                               group[target].service_addr)) {
-        continue;
-      }
-    }
+    request_.request_id = next_id_++;
+    request_.method = method;
+    request_.partition = partition;
+    request_.args.assign(args.begin(), args.end());
+    const std::span<std::uint8_t> out =
+        net::thread_scratch(request_.encoded_size());
+    const std::size_t n = request_.encode_into(out);
+    FINELB_CHECK(n > 0, "RPC args exceed the datagram limit");
+    if (!socket_.send_to(out.subspan(0, n), target.service_addr)) continue;
 
-    const std::span<std::uint8_t> buf = net::thread_scratch(64 * 1024);
-    const SimTime deadline = net::monotonic_now() + options_.rpc_timeout;
-    while (net::monotonic_now() < deadline) {
-      rpc_poller_.wait(deadline - net::monotonic_now());
-      while (auto dgram = rpc_socket_.recv_from(buf)) {
-        RpcResponse response;
-        if (!RpcResponse::try_decode(std::span(buf.data(), dgram->size),
-                                     response)) {
-          continue;
-        }
-        if (response.request_id != request.request_id) continue;  // stale
-        result.status = response.status;
-        result.transport_ok = true;
-        result.data = std::move(response.result);
-        result.server = response.server;
-        result.latency = net::monotonic_now() - started;
-        return result;
-      }
+    if (await_response(request_.request_id, result)) {
+      result.latency = net::monotonic_now() - started;
+      return result;
     }
     // Timed out: blacklist the silent replica so the retry (and subsequent
     // calls) steer around it, then try again on a fresh choice.
-    mark_timed_out(group[target].server, net::monotonic_now());
+    if (options_.blacklist_cooldown > 0) {
+      blacklist_.add(static_cast<std::size_t>(target.server),
+                     net::monotonic_now() + options_.blacklist_cooldown);
+    }
   }
   ++stats_.transport_failures;
   result.transport_ok = false;

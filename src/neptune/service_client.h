@@ -12,7 +12,8 @@
 //     partition looks empty or an access times out;
 //   * load balancing — a core::PolicyConfig: random, round-robin, or
 //     random polling over the partition's replicas (with optional discard
-//     of slow polls).
+//     of slow polls), built on the same selection primitives and
+//     blacklist as the experiment client (core/selection.h).
 // Failed accesses are retried against a fresh replica choice, which is how
 // the flat architecture "operates smoothly in the presence of transient
 // failures".
@@ -23,7 +24,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,9 +32,9 @@
 #include "common/rng.h"
 #include "core/policy.h"
 #include "core/selection.h"
+#include "net/message.h"
 #include "net/poller.h"
 #include "net/socket.h"
-#include "neptune/rpc.h"
 
 namespace finelb::neptune {
 
@@ -57,7 +57,7 @@ struct ServiceClientOptions {
 };
 
 struct CallResult {
-  RpcStatus status = RpcStatus::kAppError;
+  net::RpcStatus status = net::RpcStatus::kAppError;
   bool transport_ok = false;  // false: no replica answered in time
   std::vector<std::uint8_t> data;
   ServerId server = kInvalidServer;
@@ -93,43 +93,44 @@ class ServiceClient {
   /// Live replica count for a partition (forces a table refresh if stale).
   std::size_t replicas(std::uint32_t partition);
 
-  const ServiceClientStats& stats() const { return stats_; }
+  ServiceClientStats stats() const;
 
  private:
+  using Group = std::vector<cluster::ServiceEndpoint>;
+
   void refresh_mapping(bool force);
-  /// Chooses a replica index within `group` per the configured policy.
-  std::size_t choose(const std::vector<cluster::ServiceEndpoint>& group);
-  net::UdpSocket& poll_socket_for(const net::Address& addr);
-  /// Group indices not under blacklist cooldown (all of them if every
-  /// replica is blacklisted — a blind pick beats not dispatching). The
-  /// span views live_scratch_, valid until the next call.
-  std::span<const std::size_t> live_indices(
-      const std::vector<cluster::ServiceEndpoint>& group, SimTime now);
-  void mark_timed_out(ServerId server, SimTime now);
+  /// Chooses a replica of `group` per the configured policy, steering
+  /// around blacklisted servers. Returns its server id.
+  ServerId choose(const Group& group);
+  /// One polling round over a random poll set of candidates_; falls back
+  /// to a random candidate when no reply arrives in time.
+  ServerId poll_least_loaded(const Group& group);
+  /// Waits up to rpc_timeout for the response to `request_id`.
+  bool await_response(std::uint64_t request_id, CallResult& result);
 
   ServiceClientOptions options_;
   cluster::DirectoryClient directory_;
   Rng rng_;
   RoundRobinCursor rr_;
-  net::UdpSocket rpc_socket_;
-  std::map<std::uint64_t, net::UdpSocket> poll_sockets_;  // keyed by host:port
-  std::map<std::uint32_t, std::vector<cluster::ServiceEndpoint>> mapping_;
+  Blacklist blacklist_;  // keyed by server id
+  std::map<std::uint32_t, Group> mapping_;
   SimTime mapping_fetched_at_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::map<ServerId, SimTime> blacklist_until_;
   SimTime refresh_backoff_until_ = 0;
   SimDuration refresh_backoff_ = 0;
+  std::uint64_t next_id_ = 1;
 
-  // Reused across calls so the steady-state RPC path stays off the
-  // allocator: pollers keep their registration arrays, the scratch vectors
-  // keep their capacity, and request_scratch_.args keeps the arg buffer.
-  net::Poller rpc_poller_;   // watches rpc_socket_ only (registered once)
-  net::Poller poll_poller_;  // rebuilt (clear()) per polling round
-  std::vector<std::size_t> live_scratch_;
-  std::vector<ServerId> position_scratch_;
-  std::vector<std::pair<std::uint64_t, std::size_t>> seq_to_index_;
-  std::vector<ServerLoad> reply_scratch_;
-  RpcRequest request_scratch_;
+  // One socket carries poll inquiries and RPCs alike: replies are told
+  // apart by type tag and sequence, so a late reply of either kind is
+  // simply skipped by the other wait loop.
+  net::UdpSocket socket_;
+  net::Poller poller_;
+
+  // Reused across calls so replica choice stays off the allocator: the
+  // scratch vectors keep their capacity, and request_.args its buffer.
+  std::vector<ServerId> candidates_;
+  std::vector<ServerId> poll_set_;
+  std::vector<ServerLoad> replies_;
+  net::ServiceRequest request_;
 
   ServiceClientStats stats_;
 };

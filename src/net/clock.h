@@ -23,8 +23,4 @@ void sleep_until(SimTime deadline);
 /// Convenience: sleep_until(monotonic_now() + d) for d > 0.
 void sleep_for(SimDuration d);
 
-/// Burns CPU until the deadline (the paper's actual emulation mode).
-/// Only sensible on multi-core hosts; exposed for completeness and tests.
-void spin_until(SimTime deadline);
-
 }  // namespace finelb::net

@@ -120,10 +120,11 @@ LoadReply LoadReply::decode(std::span<const std::uint8_t> data) {
 }
 
 std::size_t ServiceRequest::encoded_size() const {
-  return 1 + 8 + 4 + 4 + 8 + 8;
+  return 1 + 8 + 4 + 4 + 8 + 8 + 2 + 4 + args.size();
 }
 
 std::size_t ServiceRequest::encode_into(std::span<std::uint8_t> out) const {
+  if (args.size() > kMaxRpcPayload) return 0;
   SpanWriter w(out);
   w.u8(static_cast<std::uint8_t>(MsgType::kServiceRequest));
   w.u64(request_id);
@@ -131,6 +132,8 @@ std::size_t ServiceRequest::encode_into(std::span<std::uint8_t> out) const {
   w.u32(partition);
   w.u64(trace_id);
   w.i64(origin_ns);
+  w.u16(method);
+  w.blob(args);
   return w.ok() ? w.size() : 0;
 }
 
@@ -143,6 +146,8 @@ bool ServiceRequest::try_decode(std::span<const std::uint8_t> data,
   out.partition = r.u32();
   out.trace_id = r.u64();
   out.origin_ns = r.i64();
+  out.method = r.u16();
+  r.blob(out.args);
   return r.ok();
 }
 
@@ -155,10 +160,11 @@ ServiceRequest ServiceRequest::decode(std::span<const std::uint8_t> data) {
 }
 
 std::size_t ServiceResponse::encoded_size() const {
-  return 1 + 8 + 4 + 4 + 8 + 8;
+  return 1 + 8 + 4 + 4 + 8 + 8 + 1 + 4 + result.size();
 }
 
 std::size_t ServiceResponse::encode_into(std::span<std::uint8_t> out) const {
+  if (result.size() > kMaxRpcPayload) return 0;
   SpanWriter w(out);
   w.u8(static_cast<std::uint8_t>(MsgType::kServiceResponse));
   w.u64(request_id);
@@ -166,6 +172,8 @@ std::size_t ServiceResponse::encode_into(std::span<std::uint8_t> out) const {
   w.i32(queue_at_arrival);
   w.u64(trace_id);
   w.i64(server_ns);
+  w.u8(static_cast<std::uint8_t>(status));
+  w.blob(result);
   return w.ok() ? w.size() : 0;
 }
 
@@ -178,6 +186,10 @@ bool ServiceResponse::try_decode(std::span<const std::uint8_t> data,
   out.queue_at_arrival = r.i32();
   out.trace_id = r.u64();
   out.server_ns = r.i64();
+  const std::uint8_t status = r.u8();
+  if (status > static_cast<std::uint8_t>(RpcStatus::kAppError)) return false;
+  out.status = static_cast<RpcStatus>(status);
+  r.blob(out.result);
   return r.ok();
 }
 

@@ -106,6 +106,20 @@ struct LoadReply {
   static LoadReply decode(std::span<const std::uint8_t> data);
 };
 
+/// Outcome of a service access (Neptune RPC semantics, paper §3.1).
+enum class RpcStatus : std::uint8_t {
+  kOk = 0,
+  kNoSuchMethod = 1,
+  kNoSuchPartition = 2,
+  kAppError = 3,
+};
+
+/// Largest RPC args/result blob: one datagram with header room to spare.
+/// encode_into refuses (returns 0) anything larger.
+constexpr std::size_t kMaxRpcPayload = 60 * 1024;
+
+/// A service access. The experiment service reads `service_us`; a Neptune
+/// service reads `method`, `partition` and `args`.
 struct ServiceRequest {
   std::uint64_t request_id = 0;
   /// Service demand in microseconds (the CPU-time the paper's microbenchmark
@@ -118,9 +132,14 @@ struct ServiceRequest {
   std::uint64_t trace_id = 0;
   /// Client's monotonic clock at dispatch time (0 when untraced).
   std::int64_t origin_ns = 0;
+  /// RPC method id, chosen by the service.
+  std::uint16_t method = 0;
+  /// Opaque RPC arguments (at most kMaxRpcPayload bytes).
+  std::vector<std::uint8_t> args;
 
   std::size_t encoded_size() const;
   std::size_t encode_into(std::span<std::uint8_t> out) const;
+  /// Reuses out.args capacity; empty args decode without allocating.
   static bool try_decode(std::span<const std::uint8_t> data,
                          ServiceRequest& out);
 
@@ -137,9 +156,13 @@ struct ServiceResponse {
   std::uint64_t trace_id = 0;
   /// Server's monotonic clock when the response was sent (0 when untraced).
   std::int64_t server_ns = 0;
+  RpcStatus status = RpcStatus::kOk;
+  /// Opaque RPC result (at most kMaxRpcPayload bytes).
+  std::vector<std::uint8_t> result;
 
   std::size_t encoded_size() const;
   std::size_t encode_into(std::span<std::uint8_t> out) const;
+  /// Rejects unknown status bytes; reuses out.result capacity.
   static bool try_decode(std::span<const std::uint8_t> data,
                          ServiceResponse& out);
 
@@ -480,7 +503,8 @@ constexpr std::size_t kTraceReplyMaxRecords = 2000;
 constexpr std::size_t kDecisionReplyMaxRecords = 400;
 
 /// Generous stack-buffer size for every fixed-size message type's
-/// encode_into (the string-bearing publish/snapshot/trace types need
+/// encode_into, and for service requests/responses with empty args/result
+/// (the string-bearing publish/snapshot/trace types and RPC payloads need
 /// encoded_size()).
 constexpr std::size_t kMaxFixedMsgSize = 64;
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "common/seqlock.h"
 
 namespace finelb::telemetry {
 
@@ -27,7 +28,7 @@ void DecisionRing::record_decision(const DecisionRecord& record) {
   Slot& slot = slots_[claim % capacity_];
   // Fence-free seqlock write, identical to TraceRing::record: odd marker
   // first, release on every payload store, even seal last.
-  slot.seq.store(2 * claim + 1, std::memory_order_relaxed);
+  if (!begin_ring_slot_write(slot.seq, claim)) return;
   slot.request_id.store(record.request_id, std::memory_order_release);
   slot.at_ns.store(record.at_ns, std::memory_order_release);
   const std::uint64_t meta =

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/seqlock.h"
 
 namespace finelb::telemetry {
 
@@ -46,7 +47,7 @@ void TraceRing::record(std::uint64_t request_id, TracePoint point,
   // on every payload store keeps the odd-marker store from sinking below
   // it, so a reader that observes any of this generation's payload also
   // observes at least the in-progress marker on its re-check.
-  slot.seq.store(2 * claim + 1, std::memory_order_relaxed);
+  if (!begin_ring_slot_write(slot.seq, claim)) return;
   slot.request_id.store(request_id, std::memory_order_release);
   slot.meta.store(static_cast<std::uint64_t>(point) |
                       (static_cast<std::uint64_t>(

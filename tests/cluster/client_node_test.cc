@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "cluster/broadcast_channel.h"
 #include "cluster/ideal_manager.h"
 #include "cluster/server_node.h"
+#include "fault/fault.h"
 #include "net/clock.h"
 #include "workload/catalog.h"
 
@@ -141,6 +144,77 @@ TEST(ClientNodeTest, TelemetryMirrorsClientStats) {
   const std::string json = client.stats_json();
   EXPECT_NE(json.find("\"node\":\"client.1\""), std::string::npos);
   EXPECT_NE(json.find("\"poll_rtt_ms\""), std::string::npos);
+}
+
+// Every ClientStats field with a registry mirror must equal its mirror.
+void ExpectRegistryMirrorsStats(const ClientNode& client) {
+  const ClientStats& s = client.stats();
+  const auto snap = client.metrics().snapshot();
+  std::map<std::string, std::int64_t> got(snap.counters.begin(),
+                                          snap.counters.end());
+  for (const auto& hist : snap.histograms) got[hist.name] = hist.count;
+  const std::map<std::string, std::int64_t> want = {
+      {"requests_issued", s.issued},
+      {"requests_completed", s.completed},
+      {"polls_sent", s.polls_sent},
+      {"polls_discarded", s.polls_discarded},
+      {"polls_timed_out", s.polls_timed_out},
+      {"fallback_dispatches", s.fallback_dispatches},
+      {"response_timeouts", s.response_timeouts},
+      {"send_failures", s.send_failures},
+      {"blacklist_insertions", s.blacklist_insertions},
+      {"blacklist_hits", s.blacklist_hits},
+      // Histogram mirrors: sample counts.
+      {"poll_time_ms", s.poll_time_ms.count()},
+      {"poll_rtt_ms", s.poll_rtt_ms.count()},
+      {"response_time_ms", s.response_ms.count()},
+  };
+  for (const auto& [name, value] : want) {
+    ASSERT_TRUE(got.count(name)) << name;
+    EXPECT_EQ(got[name], value) << name;
+  }
+}
+
+TEST(ClientNodeTest, RegistryMirrorsEveryClientStatsCounter) {
+  if (!telemetry::kEnabled) return;  // no registry to compare against
+  TestCluster cluster(3);
+
+  // Polling over a lossy network: exercises timed-out rounds, blind
+  // fallbacks, response timeouts and the blacklist.
+  ClientOptions lossy = base_options(cluster, PolicyConfig::polling(2), 150);
+  lossy.fault = std::make_shared<fault::FaultInjector>(
+      fault::FaultSpec::symmetric_loss(0.15, 11));
+  lossy.max_poll_wait = 20 * kMillisecond;
+  lossy.response_timeout = 150 * kMillisecond;
+  lossy.blacklist_cooldown = 100 * kMillisecond;
+  ClientNode polling(std::move(lossy), fast_source());
+  polling.run();
+  EXPECT_GT(polling.stats().polls_timed_out, 0);
+  EXPECT_GT(polling.stats().response_timeouts, 0);
+  ExpectRegistryMirrorsStats(polling);
+
+  // IDEAL: decisions come from the manager, not from poll rounds.
+  IdealManager manager(3, 5);
+  manager.start();
+  ClientOptions ideal_opts = base_options(cluster, PolicyConfig::ideal(), 60);
+  ideal_opts.ideal_manager = manager.address();
+  ClientNode ideal(std::move(ideal_opts), fast_source());
+  ideal.run();
+  manager.stop();
+  EXPECT_GT(ideal.stats().poll_time_ms.count(), 0);
+  ExpectRegistryMirrorsStats(ideal);
+
+  // Broadcast: decisions from the locally held load table.
+  BroadcastChannel channel;
+  channel.start();
+  ClientOptions broadcast_opts =
+      base_options(cluster, PolicyConfig::broadcast(kSecond), 60);
+  broadcast_opts.broadcast_channel = channel.address();
+  ClientNode broadcast(std::move(broadcast_opts), fast_source());
+  broadcast.run();
+  channel.stop();
+  EXPECT_EQ(broadcast.stats().completed, 60);
+  ExpectRegistryMirrorsStats(broadcast);
 }
 
 TEST(ClientNodeTest, PollSizeClampsToServerCount) {

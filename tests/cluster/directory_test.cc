@@ -203,35 +203,79 @@ TEST(DirectoryTest, BoundaryRepublishStableUnderConcurrentReads) {
   DirectoryServer directory;
   directory.start();
   constexpr std::uint32_t kTtlMs = 100;
+  constexpr SimDuration kTtl = kTtlMs * kMillisecond;
+  constexpr SimDuration kGrace = kTtl / 4;  // DirectoryTable's grace
 
+  // Each refresh is stamped when sent and when the directory is seen to
+  // have applied it, bracketing the instant its expiry was computed from.
+  struct Refresh {
+    SimTime sent;
+    SimTime applied;
+  };
+  std::vector<Refresh> refreshes;
   net::UdpSocket publisher;
-  publisher.send_to(make_publish("search", 1, kTtlMs).encode(),
-                    directory.address());
-  net::sleep_for(20 * kMillisecond);
+  const auto publish = [&] {
+    const std::int64_t before = directory.publishes_received();
+    const SimTime sent = net::monotonic_now();
+    publisher.send_to(make_publish("search", 1, kTtlMs).encode(),
+                      directory.address());
+    const SimTime give_up = sent + kSecond;
+    while (directory.publishes_received() == before) {
+      if (net::monotonic_now() > give_up) return;  // lost: no refresh
+      net::sleep_for(50 * kMicrosecond);
+    }
+    refreshes.push_back({sent, net::monotonic_now()});
+  };
+  publish();
+  ASSERT_EQ(refreshes.size(), 1u);
   ASSERT_EQ(directory.live_entries("search").size(), 1u);
 
+  struct EmptyRead {
+    SimTime begun;
+    SimTime returned;
+  };
+  std::vector<EmptyRead> empty_reads;  // reader-owned until join()
   std::atomic<bool> stop{false};
-  std::atomic<std::int64_t> empty_reads{0};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
+      const SimTime begun = net::monotonic_now();
       if (directory.live_entries("search").empty()) {
-        empty_reads.fetch_add(1, std::memory_order_relaxed);
+        empty_reads.push_back({begun, net::monotonic_now()});
       }
     }
   });
-  // Re-publish on the nominal ttl cadence for ~1.2 s. Scheduling jitter
+  // Re-publish on the nominal ttl cadence for ~1.2 s, on an absolute
+  // schedule so wake-up latency does not accumulate. Scheduling jitter
   // lands some refreshes slightly *after* the boundary — exactly the race
   // the ttl/4 grace absorbs.
-  for (int i = 0; i < 12; ++i) {
-    net::sleep_for(kTtlMs * kMillisecond);
-    publisher.send_to(make_publish("search", 1, kTtlMs).encode(),
-                      directory.address());
+  const SimTime start = refreshes.front().sent;
+  for (int i = 1; i <= 12; ++i) {
+    net::sleep_until(start + i * kTtl);
+    publish();
   }
   stop.store(true);
   reader.join();
-  EXPECT_EQ(empty_reads.load(), 0)
-      << "entry flapped out of live_entries despite on-time republish";
   directory.stop();
+
+  // An empty read is a flap when some refresh was applied before the read
+  // began and its ttl + grace, counted from its send, had not run out when
+  // the read returned. A refresh a loaded host delays past the grace is a
+  // late refresh, not a flap, so only the reads it leaves uncovered go
+  // unchecked.
+  std::int64_t flaps = 0;
+  for (const EmptyRead& read : empty_reads) {
+    for (const Refresh& refresh : refreshes) {
+      if (refresh.applied <= read.begun &&
+          read.returned < refresh.sent + kTtl + kGrace) {
+        ++flaps;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(flaps, 0)
+      << "entry flapped out of live_entries despite on-time republish ("
+      << empty_reads.size() << " empty reads, " << refreshes.size()
+      << " refreshes applied)";
 }
 
 // Satellite TSan regression (ISSUE 6): the retry/failover counters are read

@@ -35,8 +35,8 @@ TEST(FailoverTest, KilledServerEntryExpiresWithinTtl) {
     ServerOptions opts;
     opts.id = s;
     servers.push_back(std::make_unique<ServerNode>(opts));
-    servers.back()->enable_publishing(directory.address(), "svc",
-                                      /*partition=*/0, kInterval, kTtl);
+    servers.back()->enable_publishing({directory.address()}, "svc",
+                                      /*partitions=*/{0}, kInterval, kTtl);
     servers.back()->start();
   }
 

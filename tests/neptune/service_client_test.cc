@@ -7,10 +7,11 @@
 #include <map>
 #include <mutex>
 
-#include "common/check.h"
 #include "cluster/directory.h"
+#include "cluster/server_node.h"
+#include "common/check.h"
 #include "net/clock.h"
-#include "neptune/service_node.h"
+#include "neptune/method_table.h"
 
 namespace finelb::neptune {
 namespace {
@@ -21,9 +22,9 @@ constexpr std::uint16_t kPut = 2;
 /// A tiny partitioned key/value store service used as the test app.
 class KvApp {
  public:
-  void attach(ServiceNode& node) {
-    node.register_method(kPut, [this](std::uint32_t partition,
-                                      std::span<const std::uint8_t> args) {
+  void attach(MethodTable& table) {
+    table.add(kPut, [this](std::uint32_t partition,
+                           std::span<const std::uint8_t> args) {
       // args: key '\0' value
       const auto sep = std::find(args.begin(), args.end(), 0);
       FINELB_CHECK(sep != args.end(), "malformed put");
@@ -32,9 +33,9 @@ class KvApp {
           std::string(sep + 1, args.end());
       return std::vector<std::uint8_t>{};
     });
-    node.register_method(kGet, [this](std::uint32_t partition,
-                                      std::span<const std::uint8_t> args)
-                                   -> std::vector<std::uint8_t> {
+    table.add(kGet, [this](std::uint32_t partition,
+                           std::span<const std::uint8_t> args)
+                        -> std::vector<std::uint8_t> {
       std::lock_guard<std::mutex> lock(mutex_);
       const auto& partition_map = data_[partition];
       const auto it = partition_map.find(std::string(args.begin(), args.end()));
@@ -55,22 +56,25 @@ std::vector<std::uint8_t> bytes(const std::string& s) {
 struct KvCluster {
   cluster::DirectoryServer directory;
   KvApp app;  // shared across replicas: stands in for replicated state
-  std::vector<std::unique_ptr<ServiceNode>> nodes;
+  std::vector<std::unique_ptr<MethodTable>> tables;  // outlive the nodes
+  std::vector<std::unique_ptr<cluster::ServerNode>> nodes;
 
-  // partition -> node ids hosting it
+  // node id -> partitions it hosts
   explicit KvCluster(
-      const std::vector<std::pair<ServerId, std::set<std::uint32_t>>>& spec) {
+      const std::vector<std::pair<ServerId, std::vector<std::uint32_t>>>&
+          spec) {
     directory.start();
     std::size_t publishes = 0;
     for (const auto& [id, partitions] : spec) {
-      ServiceNodeOptions options;
+      tables.push_back(std::make_unique<MethodTable>(partitions));
+      app.attach(*tables.back());
+      cluster::ServerOptions options;
       options.id = id;
-      options.service_name = "kv";
-      options.partitions = partitions;
-      auto node = std::make_unique<ServiceNode>(options);
-      app.attach(*node);
-      node->enable_publishing(directory.address(), 50 * kMillisecond,
-                              300 * kMillisecond);
+      options.inject_busy_reply_delay = false;
+      options.handler = tables.back()->handler();
+      auto node = std::make_unique<cluster::ServerNode>(options);
+      node->enable_publishing({directory.address()}, "kv", partitions,
+                              50 * kMillisecond, 300 * kMillisecond);
       node->start();
       publishes += partitions.size();
       nodes.push_back(std::move(node));
@@ -106,11 +110,11 @@ TEST(ServiceClientTest, PutThenGetThroughPolling) {
 
   const auto put = client.call(kPut, 1, bytes(std::string("k\0vee", 5)));
   ASSERT_TRUE(put.transport_ok);
-  EXPECT_EQ(put.status, RpcStatus::kOk);
+  EXPECT_EQ(put.status, net::RpcStatus::kOk);
 
   const auto get = client.call(kGet, 1, bytes("k"));
   ASSERT_TRUE(get.transport_ok);
-  EXPECT_EQ(get.status, RpcStatus::kOk);
+  EXPECT_EQ(get.status, net::RpcStatus::kOk);
   EXPECT_EQ(std::string(get.data.begin(), get.data.end()), "vee");
   EXPECT_GT(get.latency, 0);
   EXPECT_GE(client.stats().polls_sent, 2);
@@ -151,7 +155,7 @@ TEST(ServiceClientTest, AppErrorsSurfaceWithoutRetryStorm) {
   ServiceClient client(cluster.client_options(PolicyConfig::polling(2)));
   const auto result = client.call(kGet, 0, bytes("absent"));
   ASSERT_TRUE(result.transport_ok);
-  EXPECT_EQ(result.status, RpcStatus::kAppError);
+  EXPECT_EQ(result.status, net::RpcStatus::kAppError);
 }
 
 TEST(ServiceClientTest, UnknownPartitionFailsTransport) {
@@ -179,7 +183,7 @@ TEST(ServiceClientTest, FailoverToSurvivingReplica) {
   int ok = 0;
   for (int i = 0; i < 10; ++i) {
     const auto result = client.call(kGet, 0, bytes("k"));
-    if (result.transport_ok && result.status == RpcStatus::kOk) {
+    if (result.transport_ok && result.status == net::RpcStatus::kOk) {
       EXPECT_EQ(result.server, 0);
       ++ok;
     }

@@ -68,6 +68,105 @@ TEST(MessageTest, ServiceResponseRoundTrip) {
   EXPECT_EQ(decoded.server_ns, -1);
 }
 
+// RPC fields of the service messages: a Neptune access names a method and
+// carries opaque args; its response carries a status and an opaque result.
+
+TEST(RpcCodecTest, RequestRoundTrip) {
+  ServiceRequest request;
+  request.request_id = 0xabcdef0123456789ull;
+  request.method = 0xfffe;
+  request.partition = 3;
+  request.args = {1, 2, 3, 4, 5};
+  const auto decoded = ServiceRequest::decode(request.encode());
+  EXPECT_EQ(decoded.request_id, request.request_id);
+  EXPECT_EQ(decoded.method, 0xfffe);
+  EXPECT_EQ(decoded.partition, 3u);
+  EXPECT_EQ(decoded.args, request.args);
+}
+
+TEST(RpcCodecTest, EmptyArgsAllowed) {
+  ServiceRequest request;
+  request.request_id = 1;
+  const auto decoded = ServiceRequest::decode(request.encode());
+  EXPECT_EQ(decoded.method, 0);
+  EXPECT_TRUE(decoded.args.empty());
+}
+
+TEST(RpcCodecTest, ResponseRoundTripAllStatuses) {
+  for (const RpcStatus status :
+       {RpcStatus::kOk, RpcStatus::kNoSuchMethod, RpcStatus::kNoSuchPartition,
+        RpcStatus::kAppError}) {
+    ServiceResponse response;
+    response.request_id = 42;
+    response.server = 11;
+    response.queue_at_arrival = 2;
+    response.status = status;
+    response.result = {9, 9, 9};
+    const auto decoded = ServiceResponse::decode(response.encode());
+    EXPECT_EQ(decoded.status, status);
+    EXPECT_EQ(decoded.server, 11);
+    EXPECT_EQ(decoded.result, response.result);
+  }
+}
+
+TEST(RpcCodecTest, LargePayloadWithinDatagramLimit) {
+  ServiceRequest request;
+  request.args.assign(kMaxRpcPayload, 0x5a);
+  EXPECT_EQ(ServiceRequest::decode(request.encode()).args, request.args);
+  ServiceResponse response;
+  response.result.assign(kMaxRpcPayload, 0xa5);
+  EXPECT_EQ(ServiceResponse::decode(response.encode()).result,
+            response.result);
+}
+
+TEST(RpcCodecTest, OversizedPayloadRejected) {
+  // One byte past kMaxRpcPayload is refused on the hot surface (0 bytes,
+  // despite room in the buffer) and the compat one.
+  std::vector<std::uint8_t> buf(kMaxRpcPayload + 1024);
+  ServiceRequest request;
+  request.args.assign(kMaxRpcPayload + 1, 0);
+  EXPECT_EQ(request.encode_into(buf), 0u);
+  EXPECT_THROW(request.encode(), InvariantError);
+  ServiceResponse response;
+  response.result.assign(kMaxRpcPayload + 1, 0);
+  EXPECT_EQ(response.encode_into(buf), 0u);
+  EXPECT_THROW(response.encode(), InvariantError);
+}
+
+TEST(RpcCodecTest, CrossDecodeRejected) {
+  // The RPC pair must not parse as one another.
+  ServiceRequest request;
+  request.request_id = 1;
+  EXPECT_THROW(ServiceResponse::decode(request.encode()), InvariantError);
+  ServiceResponse response;
+  response.request_id = 1;
+  EXPECT_THROW(ServiceRequest::decode(response.encode()), InvariantError);
+}
+
+TEST(RpcCodecTest, TruncatedPrefixesRejected) {
+  ServiceRequest request;
+  request.request_id = 1;
+  request.args = {1, 2, 3};
+  const auto bytes = request.encode();
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t len = 1; len < bytes.size(); ++len) {
+    EXPECT_THROW(ServiceRequest::decode(all.subspan(0, len)), InvariantError);
+  }
+}
+
+TEST(RpcCodecTest, UnknownStatusByteRejected) {
+  ServiceResponse response;
+  response.request_id = 1;
+  auto bytes = response.encode();
+  // status follows tag(1) + request_id(8) + server(4) + queue_at_arrival(4)
+  // + trace_id(8) + server_ns(8).
+  ASSERT_EQ(bytes[33], 0);
+  bytes[33] = 250;
+  ServiceResponse out;
+  EXPECT_FALSE(ServiceResponse::try_decode(bytes, out));
+  EXPECT_THROW(ServiceResponse::decode(bytes), InvariantError);
+}
+
 TEST(MessageTest, UntracedMessagesCarryZeroTraceContext) {
   // Default-constructed (untraced) messages must keep trace_id == 0 across
   // the wire — receivers treat 0 as "no trace context".
@@ -352,12 +451,16 @@ TEST_P(MessageTruncation, AllPrefixesRejected) {
     case 2: {
       ServiceRequest m;
       m.request_id = 7;
+      m.method = 2;
+      m.args = {1, 2, 3};
       bytes = m.encode();
       break;
     }
     case 3: {
       ServiceResponse m;
       m.request_id = 7;
+      m.status = RpcStatus::kAppError;
+      m.result = {4, 5, 6};
       bytes = m.encode();
       break;
     }
@@ -565,17 +668,38 @@ TEST(MessageHotPath, FixedTypesRoundTrip) {
   EXPECT_EQ(request_out.request_id, request.request_id);
   EXPECT_EQ(request_out.service_us, request.service_us);
   EXPECT_EQ(request_out.partition, 7u);
+  // Without an RPC payload (every experiment request) the datagram fits
+  // the fixed stack buffers and decodes without allocating.
+  EXPECT_EQ(request.encoded_size(), 39u);
+  EXPECT_EQ(request_out.args.capacity(), 0u);
+  // With one, decoding reuses (and resizes) out.args.
+  request.method = 0xffff;
+  request.args = {'h', 'i', 0};
+  CheckWireSurfaces(request);
+  request_out.args.assign(9, 0xee);
+  ASSERT_TRUE(ServiceRequest::try_decode(request.encode(), request_out));
+  EXPECT_EQ(request_out.method, 0xffff);
+  EXPECT_EQ(request_out.args, request.args);
 
   ServiceResponse response;
   response.request_id = 1;
   response.server = -1;
   response.queue_at_arrival = 0x7fffffff;
   CheckWireSurfaces(response);
-  ServiceResponse response_out;
-  ASSERT_TRUE(ServiceResponse::try_decode(response.encode(), response_out));
-  EXPECT_EQ(response_out.request_id, 1u);
-  EXPECT_EQ(response_out.server, -1);
-  EXPECT_EQ(response_out.queue_at_arrival, 0x7fffffff);
+  EXPECT_EQ(response.encoded_size(), 38u);
+  response.result = {0, 0xff};
+  for (const RpcStatus status :
+       {RpcStatus::kOk, RpcStatus::kNoSuchMethod, RpcStatus::kNoSuchPartition,
+        RpcStatus::kAppError}) {
+    response.status = status;
+    CheckWireSurfaces(response);
+    ServiceResponse response_out;
+    ASSERT_TRUE(ServiceResponse::try_decode(response.encode(), response_out));
+    EXPECT_EQ(response_out.server, -1);
+    EXPECT_EQ(response_out.queue_at_arrival, 0x7fffffff);
+    EXPECT_EQ(response_out.status, status);
+    EXPECT_EQ(response_out.result, response.result);
+  }
 
   Acquire acquire;
   acquire.seq = 0;  // all-zero fields still carry the tag
@@ -972,9 +1096,22 @@ TEST(MessageHotPath, GarbageRejectedWithoutThrowing) {
   EXPECT_FALSE(SnapshotReply::try_decode(reply_bytes, reply_out));
   EXPECT_THROW(SnapshotReply::decode(reply_bytes), InvariantError);
 
+  // RPC blob lengths pointing past the datagram (the u32 length precedes
+  // the 3 payload bytes; corrupt its high byte).
+  ServiceRequest request;
+  request.args = {1, 2, 3};
+  std::vector<std::uint8_t> request_bytes = request.encode();
+  request_bytes[request_bytes.size() - 4] = 0xff;
+  EXPECT_THROW(ServiceRequest::decode(request_bytes), InvariantError);
+  ServiceResponse response;
+  response.result = {1, 2, 3};
+  std::vector<std::uint8_t> response_bytes = response.encode();
+  response_bytes[response_bytes.size() - 4] = 0xff;
+  EXPECT_THROW(ServiceResponse::decode(response_bytes), InvariantError);
+
   // Random-looking bytes under every valid tag: try_decode must say false
-  // or succeed, never throw or crash.
-  std::vector<std::uint8_t> junk(11);
+  // or succeed, never throw or crash. Long enough to reach the RPC blobs.
+  std::vector<std::uint8_t> junk(48);
   for (std::size_t i = 0; i < junk.size(); ++i) {
     junk[i] = static_cast<std::uint8_t>(0x9e * (i + 1));
   }

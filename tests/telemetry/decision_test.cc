@@ -185,7 +185,8 @@ TEST(DecisionRingConcurrencyTest, SnapshotNeverReturnsTornRecords) {
   }
   int snapshots = 0;
   std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
+    // do-while: the writers may all finish before this thread first runs.
+    do {
       for (const DecisionRecord& rec : ring.snapshot()) {
         EXPECT_EQ(rec.request_id, static_cast<std::uint64_t>(rec.at_ns));
         EXPECT_EQ(rec.chosen, static_cast<ServerId>(rec.request_id % 1000));
@@ -196,7 +197,7 @@ TEST(DecisionRingConcurrencyTest, SnapshotNeverReturnsTornRecords) {
         }
       }
       ++snapshots;
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
   for (auto& t : writers) t.join();
   stop.store(true);

@@ -100,14 +100,15 @@ TEST(TraceRingConcurrencyTest, SnapshotNeverReturnsTornRecords) {
   }
   int snapshots = 0;
   std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
+    // do-while: the writers may all finish before this thread first runs.
+    do {
       for (const TraceRecord& rec : ring.snapshot()) {
         EXPECT_EQ(rec.request_id, static_cast<std::uint64_t>(rec.at_ns));
         EXPECT_EQ(rec.at_ns, rec.detail) << "torn trace record";
         EXPECT_EQ(rec.request_id / kIters, static_cast<unsigned>(rec.node));
       }
       ++snapshots;
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
   for (auto& t : writers) t.join();
   stop.store(true);
