@@ -123,7 +123,7 @@ RttStats measure_poll_rtt(int rounds, telemetry::DecisionRing* ring) {
       if (client.recv(buf)) break;
     }
     // The decision the round exists for: 3 polled loads, pick, (maybe)
-    // record — the same shapes finish_poll_round feeds the choke point.
+    // record — the same shapes core::PollAgent::decide feeds the choke point.
     const SimTime now = net::monotonic_now();
     for (std::size_t i = 0; i < loads.size(); ++i) {
       loads[i] = {static_cast<ServerId>(i),

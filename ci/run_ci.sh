@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Full CI sweep for the finelb prototype:
 #   1. tier-1 verify  — default build, entire ctest suite;
+#   1b. benchmark build — configures and builds perfbench/ (the benchmark
+#                       BENCHMARK.json declares), which compiles src/
+#                       directly: a src/ change that breaks a name the
+#                       benchmark uses fails here, not only in a bench run;
 #   2. bench smoke    — perf-trajectory smoke runs, including the
 #                       steady-state allocation gate (micro_net --smoke
 #                       fails if the request/poll hot loop allocates), the
@@ -53,6 +57,11 @@ configure_and_build() {
 stage "tier-1: default build + full test suite"
 configure_and_build "${build_root}/default"
 ctest --test-dir "${build_root}/default" -j"${jobs}" --output-on-failure
+
+stage "benchmark build: perfbench against the current src/"
+cmake -S "${repo}/perfbench" -B "${build_root}/perfbench" \
+  -DCMAKE_BUILD_TYPE=Release -Wno-dev >/dev/null
+cmake --build "${build_root}/perfbench" -j"${jobs}"
 
 stage "bench smoke (allocation + telemetry-overhead gates included)"
 ctest --test-dir "${build_root}/default" -L bench-smoke --output-on-failure

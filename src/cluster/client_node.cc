@@ -68,6 +68,7 @@ ClientNode::ClientNode(ClientOptions options,
     : options_(std::move(options)),
       source_(std::move(source)),
       rng_(options_.seed),
+      polls_(options_.policy, options_.max_poll_wait),
       trace_(options_.trace_capacity == 0 ? 1 : options_.trace_capacity,
              options_.trace_sample_period),
       decision_ring_(
@@ -373,29 +374,12 @@ void ClientNode::begin_access(const Access& access) {
 
 void ClientNode::start_poll_round(const Access& access) {
   const std::uint64_t seq = next_seq_++;
-  // Recycle a retired round so its targets/replies capacity carries over;
-  // after warm-up every round runs without touching the allocator.
-  PollRound round;
-  if (!poll_round_pool_.empty()) {
-    round = std::move(poll_round_pool_.back());
-    poll_round_pool_.pop_back();
-    round.targets.clear();
-    round.replies.clear();
-  }
-  round.seq = seq;
-  round.access = access;
-  round.sent_at = access.started_at;
-  const SimDuration wait = options_.policy.discard_timeout > 0
-                               ? options_.policy.discard_timeout
-                               : options_.max_poll_wait;
-  round.deadline = access.started_at + wait;
-
   // Choose poll targets as indices into the endpoint table, restricted to
   // endpoints currently believed live (mapping + blacklist).
-  const auto index_pool = candidate_indices(access.started_at);
-  choose_poll_set_into(index_pool,
-                       static_cast<std::size_t>(options_.policy.poll_size),
-                       rng_, round.targets);
+  core::PollRound& round = polls_.begin(
+      seq, candidate_indices(access.started_at),
+      static_cast<std::size_t>(options_.policy.poll_size), access.started_at,
+      rng_);
 
   net::LoadInquiry inquiry;
   inquiry.seq = seq;
@@ -409,7 +393,7 @@ void ClientNode::start_poll_round(const Access& access) {
   std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
   const std::size_t n = inquiry.encode_into(buf);
   const std::span<const std::uint8_t> payload(buf.data(), n);
-  for (const ServerId target : round.targets) {
+  for (const ServerId target : round.targets()) {
     if (poll_sockets_[static_cast<std::size_t>(target)].send(payload)) {
       bump(stats_.polls_sent, m_polls_sent_);
     } else {
@@ -420,63 +404,58 @@ void ClientNode::start_poll_round(const Access& access) {
     trace_.record(request_key(access.index),
                   telemetry::TracePoint::kPollSent, /*node=*/-1,
                   access.started_at,
-                  static_cast<std::int64_t>(round.targets.size()));
+                  static_cast<std::int64_t>(round.targets().size()));
   }
-  poll_rounds_.push_back(std::move(round));
+  poll_rounds_.push_back({&round, access});
 }
 
 void ClientNode::finish_poll_round(std::size_t index) {
-  PollRound& round = poll_rounds_[index];
+  core::PollRound& round = *poll_rounds_[index].round;
+  const Access access = poll_rounds_[index].access;
+  // Swap-remove before dispatch(), which may itself touch the round list.
+  poll_rounds_[index] = poll_rounds_.back();
+  poll_rounds_.pop_back();
   const SimTime now = net::monotonic_now();
-  if (should_record(round.access)) {
+  if (should_record(access)) {
     record(stats_.poll_time_ms, m_poll_time_ms_,
-           to_ms(now - round.access.started_at));
+           to_ms(now - access.started_at));
   }
-  std::size_t target = 0;
-  // Audit context for the core/selection.h choke point: the decision lands
-  // in the ring keyed by the same request id as the trace records, so the
-  // post-run join can look up what actually happened to it. RNG consumption
-  // is identical to the unrecorded overloads.
+  // Audit context: the decision lands in the ring keyed by the same request
+  // id as the trace records, so the post-run join can look up what actually
+  // happened to it.
   DecisionContext ctx;
-  ctx.request_id = request_key(round.access.index);
+  ctx.request_id = request_key(access.index);
   ctx.now_ns = now;
-  ctx.sink =
-      decision_ring_.sampled(static_cast<std::uint64_t>(round.access.index))
-          ? decision_ring_.sink()
-          : nullptr;
-  if (round.replies.empty()) {
-    // Every inquiry (or every reply) was lost: dispatch blind. Prefer the
-    // current candidate set over the polled targets — if the targets were
-    // since blacklisted or dropped from the mapping, re-picking among them
-    // would just hit the same dead servers again.
-    bump(stats_.fallback_dispatches, m_fallback_dispatches_);
+  ctx.sink = decision_ring_.sampled(static_cast<std::uint64_t>(access.index))
+                 ? decision_ring_.sink()
+                 : nullptr;
+  // Blind fallback pool: the current candidate set rather than the polled
+  // targets — if the targets were since blacklisted or dropped from the
+  // mapping, re-picking among them would just hit the same dead servers.
+  // Built only when no reply arrived, the one case a blind pick can occur.
+  std::span<const ServerId> fallback;
+  if (round.replies().empty()) {
     const std::int64_t hits_before = blacklist_.hits();
-    const auto candidates = candidate_indices(now);
+    fallback = candidate_indices(now);
     ctx.blacklist_filtered = static_cast<std::uint8_t>(
         std::clamp<std::int64_t>(blacklist_.hits() - hits_before, 0, 255));
-    target = static_cast<std::size_t>(
-        pick_random_fallback(candidates, rng_, ctx));
-  } else {
-    // ServerLoad.server holds endpoint *indices* here (see
-    // drain_poll_socket), so the selection result is directly usable.
-    target = static_cast<std::size_t>(
-        pick_least_loaded(round.replies, rng_, ctx));
-    stats_.poll_replies_used +=
-        static_cast<std::int64_t>(round.replies.size());
   }
-  const Access access = round.access;
+  // Replies carry endpoint *indices* (see drain_poll_socket), so the
+  // decision is directly usable.
+  const core::PollDecision decision =
+      polls_.decide(round, now, fallback, rng_, ctx);
+  if (decision.blind) {
+    bump(stats_.fallback_dispatches, m_fallback_dispatches_);
+  } else {
+    stats_.poll_replies_used += static_cast<std::int64_t>(decision.replies);
+  }
   if (trace_.sampled(static_cast<std::uint64_t>(access.index))) {
     trace_.record(request_key(access.index),
                   telemetry::TracePoint::kServerPick,
-                  static_cast<std::int32_t>(target), now,
-                  static_cast<std::int64_t>(round.replies.size()));
+                  static_cast<std::int32_t>(decision.server), now,
+                  static_cast<std::int64_t>(decision.replies));
   }
-  // Swap-remove and retire to the pool (keeps the inner vectors' capacity)
-  // before dispatch(), which may itself touch the round containers.
-  poll_round_pool_.push_back(std::move(poll_rounds_[index]));
-  poll_rounds_[index] = std::move(poll_rounds_.back());
-  poll_rounds_.pop_back();
-  dispatch(access, target);
+  dispatch(access, static_cast<std::size_t>(decision.server));
 }
 
 void ClientNode::dispatch(const Access& access, std::size_t server_index,
@@ -677,7 +656,7 @@ void ClientNode::drain_poll_socket(std::size_t server_index) {
       }
       std::size_t idx = poll_rounds_.size();
       for (std::size_t i = 0; i < poll_rounds_.size(); ++i) {
-        if (poll_rounds_[i].seq == reply.seq) {
+        if (poll_rounds_[i].round->id() == reply.seq) {
           idx = i;
           break;
         }
@@ -697,25 +676,28 @@ void ClientNode::drain_poll_socket(std::size_t server_index) {
         }
         continue;
       }
-      PollRound& round = poll_rounds_[idx];
-      if (should_record(round.access)) {
-        record(stats_.poll_rtt_ms, m_poll_rtt_ms_,
-               to_ms(net::monotonic_now() - round.sent_at));
-      }
-      if (trace_.sampled(static_cast<std::uint64_t>(round.access.index))) {
-        trace_.record(request_key(round.access.index),
-                      telemetry::TracePoint::kPollReply,
-                      static_cast<std::int32_t>(server_index),
-                      net::monotonic_now(), reply.queue_length);
-      }
+      const PollWait& wait = poll_rounds_[idx];
+      const SimTime now = net::monotonic_now();
       // Store the endpoint *index* in the server field so the least-loaded
       // pick can be used directly (ids and indices coincide in experiments,
-      // but examples may use sparse ids).
-      round.replies.push_back({static_cast<ServerId>(server_index),
-                               reply.queue_length, net::monotonic_now()});
-      if (round.replies.size() == round.targets.size()) {
-        finish_poll_round(idx);
+      // but examples may use sparse ids). A repeated reply (duplicated in
+      // the network) is dropped: it must not close the round early.
+      if (wait.round->on_reply(static_cast<ServerId>(server_index),
+                               reply.queue_length,
+                               now) != core::ReplyStatus::kAccepted) {
+        continue;
       }
+      if (should_record(wait.access)) {
+        record(stats_.poll_rtt_ms, m_poll_rtt_ms_,
+               to_ms(now - wait.access.started_at));
+      }
+      if (trace_.sampled(static_cast<std::uint64_t>(wait.access.index))) {
+        trace_.record(request_key(wait.access.index),
+                      telemetry::TracePoint::kPollReply,
+                      static_cast<std::int32_t>(server_index), now,
+                      reply.queue_length);
+      }
+      if (wait.round->complete()) finish_poll_round(idx);
     }
   }
 }
@@ -727,7 +709,7 @@ void ClientNode::fire_deadlines(SimTime now) {
 
   // Poll rounds past their deadline: decide with whatever arrived.
   for (std::size_t i = 0; i < poll_rounds_.size();) {
-    if (poll_rounds_[i].deadline <= now) {
+    if (poll_rounds_[i].round->deadline() <= now) {
       bump(stats_.polls_timed_out, m_polls_timed_out_);
       finish_poll_round(i);  // swap-removes index i
     } else {
@@ -801,7 +783,7 @@ std::optional<SimTime> ClientNode::next_deadline(SimTime next_arrival) const {
     if (!best || t < *best) best = t;
   };
   if (next_arrival >= 0) consider(next_arrival);
-  for (const PollRound& round : poll_rounds_) consider(round.deadline);
+  for (const PollWait& wait : poll_rounds_) consider(wait.round->deadline());
   for (const ManagerRound& round : manager_rounds_) consider(round.deadline);
   for (const Outstanding& out : outstanding_) consider(out.deadline);
   return best;

@@ -38,6 +38,7 @@
 #include "common/rng.h"
 #include "core/load_cache.h"
 #include "core/policy.h"
+#include "core/poll_round.h"
 #include "core/selection.h"
 #include "fault/fault.h"
 #include "net/poller.h"
@@ -226,13 +227,11 @@ class ClientNode {
   // storage makes the steady state allocation-free — map insert/erase
   // costs a node allocation per access. Each record carries its own key.
 
-  struct PollRound {
-    std::uint64_t seq = 0;             // inquiry sequence (lookup key)
+  /// An open poll round (owned by polls_; its id is the inquiry sequence
+  /// and its targets are indices into options_.servers).
+  struct PollWait {
+    core::PollRound* round = nullptr;
     Access access;
-    std::vector<ServerId> targets;     // indices into options_.servers
-    std::vector<ServerLoad> replies;
-    SimTime sent_at = 0;
-    SimTime deadline = 0;
   };
 
   struct ManagerRound {
@@ -253,8 +252,7 @@ class ClientNode {
 
   void begin_access(const Access& access);
   void start_poll_round(const Access& access);
-  /// Decides poll round `index` (of poll_rounds_) and retires it to the
-  /// pool so its target/reply capacity is reused by later rounds.
+  /// Decides poll round `index` (of poll_rounds_) and dispatches.
   void finish_poll_round(std::size_t index);
   void dispatch(const Access& access, std::size_t server_index,
                 bool manager_acquired = false);
@@ -318,8 +316,8 @@ class ClientNode {
   SimTime subscribe_refresh_at_ = 0;
   net::Poller poller_;
 
-  std::vector<PollRound> poll_rounds_;        // active, unordered
-  std::vector<PollRound> poll_round_pool_;    // retired; capacity reused
+  core::PollAgent polls_;
+  std::vector<PollWait> poll_rounds_;         // active, unordered
   std::vector<ManagerRound> manager_rounds_;  // active, unordered
   std::vector<Outstanding> outstanding_;      // active, unordered
   std::uint64_t next_seq_ = 1;

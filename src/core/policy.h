@@ -41,7 +41,7 @@ struct PolicyConfig {
   /// Polls not answered within this bound are discarded; 0 disables the
   /// optimization. The paper's prototype uses 1 ms (§3.2).
   SimDuration discard_timeout = 0;
-  /// Extension (simulation only): Mitzenmacher's memory-augmented variant
+  /// Extension: Mitzenmacher's memory-augmented variant
   /// ("How Useful Is Old Information?", cited in the paper's related work):
   /// the client keeps the last round's winner and its observed-plus-own
   /// load as an extra zero-cost candidate in the next round.

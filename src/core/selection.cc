@@ -70,13 +70,6 @@ ServerId pick_random_fallback(std::span<const ServerId> candidates, Rng& rng,
   return chosen;
 }
 
-std::vector<ServerId> choose_poll_set(std::span<const ServerId> candidates,
-                                      std::size_t d, Rng& rng) {
-  std::vector<ServerId> out;
-  choose_poll_set_into(candidates, d, rng, out);
-  return out;
-}
-
 void choose_poll_set_into(std::span<const ServerId> candidates, std::size_t d,
                           Rng& rng, std::vector<ServerId>& out) {
   FINELB_CHECK(!candidates.empty(), "no candidate servers");

@@ -100,13 +100,9 @@ ServerId pick_random_fallback(std::span<const ServerId> candidates, Rng& rng,
                               const DecisionContext& ctx);
 
 /// Chooses min(d, candidates.size()) *distinct* servers uniformly at random
-/// (the poll set of the random polling policy). Uses a partial
-/// Fisher-Yates shuffle over an index scratch vector: O(d) swaps.
-std::vector<ServerId> choose_poll_set(std::span<const ServerId> candidates,
-                                      std::size_t d, Rng& rng);
-
-/// Allocation-free variant for hot paths: fills `out` (reusing its
-/// capacity) with the chosen poll set. `out` must not alias `candidates`.
+/// (the poll set of the random polling policy) into `out`, reusing its
+/// capacity: a partial Fisher-Yates shuffle, O(d) swaps after one copy.
+/// `out` must not alias `candidates`.
 void choose_poll_set_into(std::span<const ServerId> candidates, std::size_t d,
                           Rng& rng, std::vector<ServerId>& out);
 

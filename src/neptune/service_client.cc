@@ -23,7 +23,8 @@ const cluster::ServiceEndpoint& endpoint_of(
 ServiceClient::ServiceClient(ServiceClientOptions options)
     : options_(std::move(options)),
       directory_(options_.directory),
-      rng_(options_.seed) {
+      rng_(options_.seed),
+      polls_(options_.policy, options_.max_poll_wait) {
   FINELB_CHECK(!options_.service_name.empty(), "service name required");
   FINELB_CHECK(options_.max_attempts >= 1, "need at least one attempt");
   FINELB_CHECK(options_.policy.kind == PolicyKind::kRandom ||
@@ -98,50 +99,48 @@ ServerId ServiceClient::choose(const Group& group) {
 }
 
 ServerId ServiceClient::poll_least_loaded(const Group& group) {
-  choose_poll_set_into(candidates_,
-                       static_cast<std::size_t>(options_.policy.poll_size),
-                       rng_, poll_set_);
   // Inquiry i of this round carries sequence base + i, so a reply maps
-  // straight back to its server and replies from earlier rounds fall
+  // straight back to its target and replies from earlier rounds fall
   // outside [base, base + k).
   const std::uint64_t base = next_id_;
-  next_id_ += poll_set_.size();
-  std::size_t sent = 0;
-  for (std::size_t i = 0; i < poll_set_.size(); ++i) {
+  core::PollRound& round = polls_.begin(
+      base, candidates_, static_cast<std::size_t>(options_.policy.poll_size),
+      net::monotonic_now(), rng_);
+  const std::span<const ServerId> targets = round.targets();
+  next_id_ += targets.size();
+  std::array<std::uint8_t, net::kMaxFixedMsgSize> buf{};
+  for (std::size_t i = 0; i < targets.size(); ++i) {
     net::LoadInquiry inquiry;
     inquiry.seq = base + i;
-    std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
     const std::size_t n = inquiry.encode_into(buf);
     if (socket_.send_to({buf.data(), n},
-                        endpoint_of(group, poll_set_[i]).load_addr)) {
-      ++sent;
+                        endpoint_of(group, targets[i]).load_addr)) {
+      ++stats_.polls_sent;
     }
   }
-  stats_.polls_sent += static_cast<std::int64_t>(sent);
 
-  const SimDuration wait = options_.policy.discard_timeout > 0
-                               ? options_.policy.discard_timeout
-                               : options_.max_poll_wait;
-  const SimTime deadline = net::monotonic_now() + wait;
-  replies_.clear();
-  std::array<std::uint8_t, net::kMaxFixedMsgSize> buf{};
-  while (replies_.size() < sent) {
-    const SimDuration left = deadline - net::monotonic_now();
+  while (!round.complete()) {
+    const SimDuration left = round.deadline() - net::monotonic_now();
     if (left <= 0) break;  // discard outstanding slow polls
     poller_.wait(left);
     while (auto dgram = socket_.recv_from(buf)) {
       net::LoadReply reply;
       if (!net::LoadReply::try_decode(std::span(buf.data(), dgram->size),
                                       reply) ||
-          reply.seq - base >= poll_set_.size()) {
+          reply.seq - base >= targets.size()) {
         continue;  // stale reply or a late RPC response
       }
-      replies_.push_back({poll_set_[reply.seq - base], reply.queue_length,
-                          net::monotonic_now()});
+      round.on_reply(targets[reply.seq - base], reply.queue_length,
+                     net::monotonic_now());
     }
   }
-  if (replies_.empty()) return pick_random(candidates_, rng_);
-  return pick_least_loaded(replies_, rng_);
+  // Blind fallback pool: every usable replica, not just the polled ones.
+  DecisionContext ctx;
+  ctx.now_ns = net::monotonic_now();
+  const core::PollDecision decision =
+      polls_.decide(round, ctx.now_ns, candidates_, rng_, ctx);
+  if (decision.blind) ++stats_.fallback_dispatches;
+  return decision.server;
 }
 
 bool ServiceClient::await_response(std::uint64_t request_id,

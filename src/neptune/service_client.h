@@ -12,8 +12,8 @@
 //     partition looks empty or an access times out;
 //   * load balancing — a core::PolicyConfig: random, round-robin, or
 //     random polling over the partition's replicas (with optional discard
-//     of slow polls), built on the same selection primitives and
-//     blacklist as the experiment client (core/selection.h).
+//     of slow polls), decided by the same core::PollAgent and blacklist
+//     as the experiment client (core/poll_round.h, core/selection.h).
 // Failed accesses are retried against a fresh replica choice, which is how
 // the flat architecture "operates smoothly in the presence of transient
 // failures".
@@ -31,6 +31,7 @@
 #include "cluster/directory.h"
 #include "common/rng.h"
 #include "core/policy.h"
+#include "core/poll_round.h"
 #include "core/selection.h"
 #include "net/message.h"
 #include "net/poller.h"
@@ -70,6 +71,9 @@ struct ServiceClientStats {
   std::int64_t retries = 0;
   std::int64_t transport_failures = 0;
   std::int64_t polls_sent = 0;
+  /// Polling decisions made blind: no poll reply arrived in time, so a
+  /// random usable replica was chosen.
+  std::int64_t fallback_dispatches = 0;
   std::int64_t mapping_refreshes = 0;
   /// Directory fetches that timed out; the stale table is kept and the next
   /// refresh is delayed by an exponentially backed-off, jittered interval.
@@ -102,8 +106,9 @@ class ServiceClient {
   /// Chooses a replica of `group` per the configured policy, steering
   /// around blacklisted servers. Returns its server id.
   ServerId choose(const Group& group);
-  /// One polling round over a random poll set of candidates_; falls back
-  /// to a random candidate when no reply arrives in time.
+  /// One polling round (core::PollAgent) over a random poll set of
+  /// candidates_; falls back to a random candidate when no reply arrives
+  /// in time.
   ServerId poll_least_loaded(const Group& group);
   /// Waits up to rpc_timeout for the response to `request_id`.
   bool await_response(std::uint64_t request_id, CallResult& result);
@@ -112,6 +117,7 @@ class ServiceClient {
   cluster::DirectoryClient directory_;
   Rng rng_;
   RoundRobinCursor rr_;
+  core::PollAgent polls_;
   Blacklist blacklist_;  // keyed by server id
   std::map<std::uint32_t, Group> mapping_;
   SimTime mapping_fetched_at_ = 0;
@@ -126,10 +132,8 @@ class ServiceClient {
   net::Poller poller_;
 
   // Reused across calls so replica choice stays off the allocator: the
-  // scratch vectors keep their capacity, and request_.args its buffer.
+  // scratch vector keeps its capacity, and request_.args its buffer.
   std::vector<ServerId> candidates_;
-  std::vector<ServerId> poll_set_;
-  std::vector<ServerLoad> replies_;
   net::ServiceRequest request_;
 
   ServiceClientStats stats_;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "core/poll_round.h"
 #include "core/selection.h"
 #include "sim/config.h"
 #include "sim/engine.h"
@@ -85,6 +86,10 @@ class Simulation {
       clients_[c].source = workload.make_source(scale, config.seed + 101 * c);
       clients_[c].rng = root_rng_.split();
       clients_[c].table.resize(servers_.size());
+      // Without the discard optimization a lossy network could starve a
+      // round forever; the fault model's backstop bounds it.
+      clients_[c].polls = core::PollAgent(
+          config.policy, faults_enabled_ ? config.faults.max_poll_wait : 0);
       for (std::size_t s = 0; s < servers_.size(); ++s) {
         clients_[c].table[s] = {static_cast<ServerId>(s), 0, 0};
       }
@@ -152,18 +157,7 @@ class Simulation {
     Rng rng;
     RoundRobinCursor rr;
     std::vector<ServerLoad> table;  // broadcast policy's local view
-    /// Memory-augmented polling: last round's winner (kInvalidServer when
-    /// unset or invalidated by a blind dispatch).
-    ServerLoad memory{kInvalidServer, 0, 0};
-  };
-
-  /// In-flight poll round for one request (polling policy only).
-  struct PollRound {
-    Job job;
-    std::size_t client = 0;
-    std::vector<ServerId> targets;
-    std::vector<ServerLoad> replies;
-    bool dispatched = false;
+    core::PollAgent polls;          // polling policy's rounds and memory
   };
 
   // --- request generation --------------------------------------------------
@@ -218,39 +212,43 @@ class Simulation {
   }
 
   // --- random polling -------------------------------------------------------
+  //
+  // The decision rule lives in core::PollAgent; the simulator schedules the
+  // inquiry, reply and deadline events. Rounds are recycled once decided,
+  // so an event carries the job whose round it serves: a round reopened
+  // under another job's index is no longer that job's round.
 
   void start_poll_round(std::size_t c, const Job& job) {
-    auto round = std::make_shared<PollRound>();
-    round->job = job;
-    round->client = c;
-    round->targets = choose_poll_set(
-        all_server_ids_, static_cast<std::size_t>(config_.policy.poll_size),
-        clients_[c].rng);
-    result_.polls_sent +=
-        static_cast<std::int64_t>(round->targets.size());
+    Client& client = clients_[c];
+    core::PollRound& round = client.polls.begin(
+        static_cast<std::uint64_t>(job.index), all_server_ids_,
+        static_cast<std::size_t>(config_.policy.poll_size), engine_.now(),
+        client.rng);
+    result_.polls_sent += static_cast<std::int64_t>(round.targets().size());
 
-    for (const ServerId target : round->targets) {
+    for (const ServerId target : round.targets()) {
       ++result_.messages;  // inquiry
       if (lose_msg()) continue;  // inquiry eaten by the network
-      engine_.schedule_after(config_.network.poll_oneway, [this, round,
-                                                           target] {
-        answer_poll(round, target);
-      });
+      engine_.schedule_after(config_.network.poll_oneway,
+                             [this, c, round = &round, job, target] {
+                               answer_poll(c, *round, job, target);
+                             });
     }
-    SimDuration round_deadline = config_.policy.discard_timeout;
-    if (round_deadline <= 0 && faults_enabled_) {
-      // Backstop: without the discard optimization a lossy network could
-      // starve the round forever (mirrors the prototype's max_poll_wait).
-      round_deadline = config_.faults.max_poll_wait;
-    }
-    if (round_deadline > 0) {
-      engine_.schedule_after(round_deadline, [this, round] {
-        if (!round->dispatched) finish_poll_round(*round);
+    if (round.has_deadline()) {
+      engine_.schedule_at(round.deadline(), [this, c, round = &round, job] {
+        if (round_of(*round, job)) finish_poll_round(c, *round, job);
       });
     }
   }
 
-  void answer_poll(const std::shared_ptr<PollRound>& round, ServerId target) {
+  /// True while `round` is still `job`'s undecided round.
+  static bool round_of(const core::PollRound& round, const Job& job) {
+    return round.id() == static_cast<std::uint64_t>(job.index) &&
+           !round.decided();
+  }
+
+  void answer_poll(std::size_t c, core::PollRound& round, const Job& job,
+                   ServerId target) {
     Server& server = servers_[static_cast<std::size_t>(target)];
     if (server.crashed) return;  // nobody home to answer
     // Reply cost: a fixed CPU charge plus an optional queue-proportional
@@ -263,58 +261,39 @@ class Simulation {
     ++result_.messages;  // reply
     if (lose_msg()) return;  // reply sent, eaten in transit
     engine_.schedule_after(
-        reply_delay + config_.network.poll_oneway, [this, round, observation] {
-          if (round->dispatched) {
-            ++result_.polls_discarded;
+        reply_delay + config_.network.poll_oneway,
+        [this, c, round = &round, job, observation] {
+          if (!round_of(*round, job)) {
+            ++result_.polls_discarded;  // the round was already decided
             return;
           }
-          round->replies.push_back(observation);
-          if (round->replies.size() == round->targets.size()) {
-            finish_poll_round(*round);
+          if (round->on_reply(observation.server, observation.queue_length,
+                              observation.measured_at) ==
+                  core::ReplyStatus::kAccepted &&
+              round->complete()) {
+            finish_poll_round(c, *round, job);
           }
         });
   }
 
-  void finish_poll_round(PollRound& round) {
-    round.dispatched = true;
-    Client& client = clients_[round.client];
-    ServerId target = kInvalidServer;
-    std::vector<ServerLoad> candidates = round.replies;
-    if (config_.policy.poll_memory &&
-        client.memory.server != kInvalidServer) {
-      candidates.push_back(client.memory);
-    }
-    // Route the choice through the core/selection.h choke point so the
-    // audit sink (when configured) sees exactly what the prototype client
-    // records. RNG consumption is identical to the unrecorded overloads.
+  void finish_poll_round(std::size_t c, core::PollRound& round,
+                         const Job& job) {
+    Client& client = clients_[c];
+    // The audit sink (when configured) sees exactly what the prototype
+    // client records; RNG consumption is identical without it.
     DecisionContext ctx;
-    ctx.request_id = static_cast<std::uint64_t>(round.job.index);
+    ctx.request_id = static_cast<std::uint64_t>(job.index);
     ctx.now_ns = engine_.now();
     ctx.sink = config_.decision_sink;
-    const bool blind = candidates.empty();
-    if (blind) {
-      // Fallback rule: every inquiry or reply was lost — dispatch randomly
-      // over the polled candidates rather than stalling the access.
-      ++result_.poll_fallbacks;
-      target = pick_random_fallback(round.targets, client.rng, ctx);
-      client.memory = {kInvalidServer, 0, 0};  // blind dispatch: no info
-    } else {
-      target = pick_least_loaded(candidates, client.rng, ctx);
-      if (config_.policy.poll_memory) {
-        // Remember the winner, accounting for the access we now add to it.
-        for (const ServerLoad& entry : candidates) {
-          if (entry.server == target) {
-            client.memory = {target, entry.queue_length + 1, engine_.now()};
-            break;
-          }
-        }
-      }
+    // Blind fallback pool: the polled targets.
+    const core::PollDecision decision = client.polls.decide(
+        round, engine_.now(), round.targets(), client.rng, ctx);
+    if (decision.blind) ++result_.poll_fallbacks;
+    if (should_record(job)) {
+      result_.poll_time_ms.add(to_ms(engine_.now() - job.generated_at));
+      record_decision_quality(decision.server, decision.blind);
     }
-    if (should_record(round.job)) {
-      result_.poll_time_ms.add(to_ms(engine_.now() - round.job.generated_at));
-      record_decision_quality(target, blind);
-    }
-    dispatch(round.job, target);
+    dispatch(job, decision.server);
   }
 
   /// Exact regret accounting: the simulator is omniscient, so each polling

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -237,6 +238,62 @@ TEST(ClientNodeTest, DiscardModeBoundsPollTime) {
   EXPECT_EQ(stats.completed, 150);
   // No decision may take longer than the discard deadline plus loop slack.
   EXPECT_LT(stats.poll_time_ms.max(), 10.0);
+}
+
+TEST(ClientNodeTest, DuplicatedPollRepliesDoNotCloseARoundEarly) {
+  if (!telemetry::kEnabled) GTEST_SKIP() << "decision ring compiled out";
+  TestCluster cluster(4);
+  ClientOptions opts = base_options(cluster, PolicyConfig::polling(3), 100);
+  // Every datagram the client receives arrives twice.
+  fault::FaultSpec spec;
+  spec.ingress.dup_prob = 1.0;
+  spec.seed = 5;
+  opts.fault = std::make_shared<fault::FaultInjector>(spec);
+  opts.max_poll_wait = 2 * kSecond;  // only complete rounds decide
+  opts.decision_sample_period = 1;
+  opts.decision_capacity = 128;
+  ClientNode client(std::move(opts), fast_source());
+  client.run();
+  EXPECT_EQ(client.stats().completed, 100);
+
+  const auto records = client.decisions().snapshot();
+  ASSERT_EQ(records.size(), 100u);
+  for (const DecisionRecord& rec : records) {
+    EXPECT_FALSE(rec.blind_fallback);
+    ASSERT_EQ(rec.polled_count, 3);
+    std::set<ServerId> distinct;
+    for (int i = 0; i < rec.polled_count; ++i) {
+      distinct.insert(rec.polled[i].server);
+    }
+    EXPECT_EQ(distinct.size(), 3u)
+        << "a repeated reply stood in for a server that had not answered";
+  }
+}
+
+TEST(ClientNodeTest, PollMemoryJoinsEveryPickAfterTheFirst) {
+  if (!telemetry::kEnabled) GTEST_SKIP() << "decision ring compiled out";
+  TestCluster cluster(4);
+  PolicyConfig policy = PolicyConfig::polling(2);
+  policy.poll_memory = true;
+  ClientOptions opts = base_options(cluster, policy, 100);
+  opts.max_poll_wait = 2 * kSecond;
+  opts.decision_sample_period = 1;
+  opts.decision_capacity = 128;
+  ClientNode client(std::move(opts), fast_source());
+  client.run();
+  EXPECT_EQ(client.stats().completed, 100);
+
+  // Decisions are recorded in the order they were made, so each round's
+  // memory candidate (listed after its two replies) is the previous
+  // round's winner.
+  const auto records = client.decisions().snapshot();
+  ASSERT_EQ(records.size(), 100u);
+  EXPECT_EQ(records[0].polled_count, 2);
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    ASSERT_EQ(records[i].polled_count, 3) << "decision " << i;
+    EXPECT_EQ(records[i].polled[2].server, records[i - 1].chosen);
+    EXPECT_GE(records[i].polled[2].queue_length, 1);
+  }
 }
 
 TEST(ClientNodeTest, IdealPolicyUsesManagerAndReleases) {

@@ -17,6 +17,13 @@ std::vector<ServerId> ids(int n) {
   return out;
 }
 
+std::vector<ServerId> choose_poll_set(std::span<const ServerId> candidates,
+                                      std::size_t d, Rng& rng) {
+  std::vector<ServerId> out;
+  choose_poll_set_into(candidates, d, rng, out);
+  return out;
+}
+
 TEST(PickRandomTest, CoversAllCandidatesUniformly) {
   Rng rng(1);
   const auto candidates = ids(4);

@@ -59,10 +59,12 @@ struct KvCluster {
   std::vector<std::unique_ptr<MethodTable>> tables;  // outlive the nodes
   std::vector<std::unique_ptr<cluster::ServerNode>> nodes;
 
-  // node id -> partitions it hosts
+  // node id -> partitions it hosts. Unpublished nodes stay out of the
+  // directory until the test publishes them itself.
   explicit KvCluster(
       const std::vector<std::pair<ServerId, std::vector<std::uint32_t>>>&
-          spec) {
+          spec,
+      bool publish = true) {
     directory.start();
     std::size_t publishes = 0;
     for (const auto& [id, partitions] : spec) {
@@ -73,10 +75,12 @@ struct KvCluster {
       options.inject_busy_reply_delay = false;
       options.handler = tables.back()->handler();
       auto node = std::make_unique<cluster::ServerNode>(options);
-      node->enable_publishing({directory.address()}, "kv", partitions,
-                              50 * kMillisecond, 300 * kMillisecond);
+      if (publish) {
+        node->enable_publishing({directory.address()}, "kv", partitions,
+                                50 * kMillisecond, 300 * kMillisecond);
+        publishes += partitions.size();
+      }
       node->start();
-      publishes += partitions.size();
       nodes.push_back(std::move(node));
     }
     // Wait until the directory holds every (node, partition) entry.
@@ -189,6 +193,50 @@ TEST(ServiceClientTest, FailoverToSurvivingReplica) {
     }
   }
   EXPECT_GE(ok, 9) << "client must converge on the surviving replica";
+}
+
+TEST(ServiceClientTest, UnansweredPollsFallBackBlind) {
+  // Both replicas are published with a load port that swallows every poll
+  // inquiry, while their service ports are real: RPCs flow, polls never
+  // come back, and every polling decision must fall back blind.
+  KvCluster cluster({{0, {0}}, {1, {0}}}, /*publish=*/false);
+  net::UdpSocket silent;  // receives the inquiries, never answers
+  net::UdpSocket publisher;
+  for (const auto& node : cluster.nodes) {
+    net::Publish publish;
+    publish.service = "kv";
+    publish.partition = 0;
+    publish.server = node->id();
+    publish.service_port = node->service_address().port;
+    publish.load_port = silent.local_address().port;
+    publish.ttl_ms = 60'000;
+    ASSERT_TRUE(publisher.send_to(publish.encode(),
+                                  cluster.directory.address()));
+  }
+  const SimTime deadline = net::monotonic_now() + 5 * kSecond;
+  while (cluster.directory.live_entries("kv").size() < 2 &&
+         net::monotonic_now() < deadline) {
+    net::sleep_for(10 * kMillisecond);
+  }
+
+  ServiceClient client(
+      cluster.client_options(PolicyConfig::polling(2, from_ms(1))));
+  ASSERT_EQ(client.replicas(0), 2u);
+  const auto put = client.call(kPut, 0, bytes(std::string("k\0v", 3)));
+  ASSERT_TRUE(put.transport_ok);
+  EXPECT_EQ(put.status, net::RpcStatus::kOk);
+  std::map<ServerId, int> served_by;
+  for (int i = 0; i < 20; ++i) {
+    const auto get = client.call(kGet, 0, bytes("k"));
+    ASSERT_TRUE(get.transport_ok);
+    EXPECT_EQ(get.status, net::RpcStatus::kOk);
+    ++served_by[get.server];
+  }
+  const ServiceClientStats stats = client.stats();
+  EXPECT_EQ(stats.retries, 0);
+  EXPECT_EQ(stats.polls_sent, 2 * 21);
+  EXPECT_EQ(stats.fallback_dispatches, 21);
+  EXPECT_EQ(served_by.size(), 2u) << "a blind pick ranges over the replicas";
 }
 
 TEST(ServiceClientTest, RejectsUnsupportedPolicies) {
