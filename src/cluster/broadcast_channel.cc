@@ -55,42 +55,45 @@ void BroadcastChannel::recv_loop() {
     if (poller.wait(50 * kMillisecond).empty()) continue;
     while (auto dgram = socket_.recv_from(buf)) {
       const std::span<const std::uint8_t> data(buf.data(), dgram->size);
-      try {
-        switch (net::peek_type(data)) {
-          case net::MsgType::kSubscribe: {
-            const auto subscribe = net::Subscribe::decode(data);
-            std::lock_guard<std::mutex> lock(mutex_);
-            subscribers_[pack(dgram->from)] = {
-                dgram->from,
-                net::monotonic_now() +
-                    static_cast<SimDuration>(subscribe.ttl_ms) *
-                        kMillisecond};
-            break;
-          }
-          case net::MsgType::kLoadAnnounce: {
-            // Validate, then fan out verbatim.
-            (void)net::LoadAnnounce::decode(data);
-            std::lock_guard<std::mutex> lock(mutex_);
-            const SimTime now = net::monotonic_now();
-            for (auto it = subscribers_.begin();
-                 it != subscribers_.end();) {
-              if (it->second.expires_at <= now) {
-                it = subscribers_.erase(it);  // expired soft state
-                continue;
-              }
-              socket_.send_to(data, it->second.address);
-              relayed_.fetch_add(1, std::memory_order_relaxed);
-              ++it;
-            }
-            break;
-          }
-          default:
+      if (data.empty()) continue;  // peek_type throws on empty datagrams
+      switch (net::peek_type(data)) {
+        case net::MsgType::kSubscribe: {
+          net::Subscribe subscribe;
+          if (!net::Subscribe::try_decode(data, subscribe)) {
             FINELB_LOG(kWarn, "broadcast-channel")
-                << "unexpected message type";
+                << "dropping malformed subscribe";
+            break;
+          }
+          std::lock_guard<std::mutex> lock(mutex_);
+          subscribers_[pack(dgram->from)] = {
+              dgram->from,
+              net::monotonic_now() +
+                  static_cast<SimDuration>(subscribe.ttl_ms) * kMillisecond};
+          break;
         }
-      } catch (const InvariantError&) {
-        FINELB_LOG(kWarn, "broadcast-channel")
-            << "dropping malformed datagram";
+        case net::MsgType::kLoadAnnounce: {
+          // Validate, then fan out verbatim.
+          net::LoadAnnounce announce;
+          if (!net::LoadAnnounce::try_decode(data, announce)) {
+            FINELB_LOG(kWarn, "broadcast-channel")
+                << "dropping malformed load announce";
+            break;
+          }
+          std::lock_guard<std::mutex> lock(mutex_);
+          const SimTime now = net::monotonic_now();
+          for (auto it = subscribers_.begin(); it != subscribers_.end();) {
+            if (it->second.expires_at <= now) {
+              it = subscribers_.erase(it);  // expired soft state
+              continue;
+            }
+            socket_.send_to(data, it->second.address);
+            relayed_.fetch_add(1, std::memory_order_relaxed);
+            ++it;
+          }
+          break;
+        }
+        default:
+          FINELB_LOG(kWarn, "broadcast-channel") << "unexpected message type";
       }
     }
   }

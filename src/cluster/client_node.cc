@@ -16,6 +16,11 @@ constexpr std::uint64_t kManagerTag = 1;
 constexpr std::uint64_t kBroadcastTag = 2;
 constexpr std::uint64_t kPollTagBase = 1000;
 constexpr std::uint32_t kSubscribeTtlMs = 5000;
+/// A burst of dispatches in one pass of the loop (an arrival backlog, or
+/// poll rounds expiring together after a stall) reads the service socket
+/// after every this many: zero-service servers answer as fast as requests go
+/// out, and unread answers past the receive buffer are dropped.
+constexpr std::int64_t kDispatchesPerDrain = 64;
 
 // Encodes a fixed-size message onto the stack and sends it; no heap
 // traffic, unlike msg.encode() which materialises a vector per send.
@@ -192,7 +197,9 @@ void ClientNode::run() {
     }
 
     // Fire due arrivals (possibly several if the loop fell behind).
+    std::int64_t fired = 0;
     while (stats_.issued < options_.total_requests && next_arrival <= now) {
+      if (++fired % kDispatchesPerDrain == 0) drain_service_socket();
       Access access;
       access.index = stats_.issued;
       bump(stats_.issued, m_issued_);
@@ -708,8 +715,10 @@ void ClientNode::fire_deadlines(SimTime now) {
   // only advances when the current entry survives.
 
   // Poll rounds past their deadline: decide with whatever arrived.
+  std::int64_t finished = 0;
   for (std::size_t i = 0; i < poll_rounds_.size();) {
     if (poll_rounds_[i].round->deadline() <= now) {
+      if (++finished % kDispatchesPerDrain == 0) drain_service_socket();
       bump(stats_.polls_timed_out, m_polls_timed_out_);
       finish_poll_round(i);  // swap-removes index i
     } else {

@@ -49,43 +49,48 @@ void IdealManager::recv_loop() {
     if (poller.wait(50 * kMillisecond).empty()) continue;
     while (auto dgram = socket_.recv_from(buf)) {
       const std::span<const std::uint8_t> data(buf.data(), dgram->size);
-      try {
-        switch (net::peek_type(data)) {
-          case net::MsgType::kAcquire: {
-            const auto acquire = net::Acquire::decode(data);
-            net::AcquireReply reply;
-            reply.seq = acquire.seq;
-            {
-              std::lock_guard<std::mutex> lock(mutex_);
-              std::vector<ServerLoad> loads(queues_.size());
-              for (std::size_t s = 0; s < queues_.size(); ++s) {
-                loads[s] = {static_cast<ServerId>(s), queues_[s], 0};
-              }
-              reply.server = pick_least_loaded(loads, rng_);
-              ++queues_[static_cast<std::size_t>(reply.server)];
-            }
-            socket_.send_to(reply.encode(), dgram->from);
-            acquires_.fetch_add(1, std::memory_order_relaxed);
+      if (data.empty()) continue;  // peek_type throws on empty datagrams
+      switch (net::peek_type(data)) {
+        case net::MsgType::kAcquire: {
+          net::Acquire acquire;
+          if (!net::Acquire::try_decode(data, acquire)) {
+            FINELB_LOG(kWarn, "ideal-manager") << "dropping malformed acquire";
             break;
           }
-          case net::MsgType::kRelease: {
-            const auto release = net::Release::decode(data);
+          net::AcquireReply reply;
+          reply.seq = acquire.seq;
+          {
             std::lock_guard<std::mutex> lock(mutex_);
-            const auto s = static_cast<std::size_t>(release.server);
-            if (s < queues_.size() && queues_[s] > 0) {
-              --queues_[s];
-              releases_.fetch_add(1, std::memory_order_relaxed);
-            } else {
-              FINELB_LOG(kWarn, "ideal-manager")
-                  << "release for idle/unknown server " << release.server;
+            std::vector<ServerLoad> loads(queues_.size());
+            for (std::size_t s = 0; s < queues_.size(); ++s) {
+              loads[s] = {static_cast<ServerId>(s), queues_[s], 0};
             }
+            reply.server = pick_least_loaded(loads, rng_);
+            ++queues_[static_cast<std::size_t>(reply.server)];
+          }
+          socket_.send_to(reply.encode(), dgram->from);
+          acquires_.fetch_add(1, std::memory_order_relaxed);
+          break;
+        }
+        case net::MsgType::kRelease: {
+          net::Release release;
+          if (!net::Release::try_decode(data, release)) {
+            FINELB_LOG(kWarn, "ideal-manager") << "dropping malformed release";
             break;
           }
-          default:
-            FINELB_LOG(kWarn, "ideal-manager") << "unexpected message type";
+          std::lock_guard<std::mutex> lock(mutex_);
+          const auto s = static_cast<std::size_t>(release.server);
+          if (s < queues_.size() && queues_[s] > 0) {
+            --queues_[s];
+            releases_.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            FINELB_LOG(kWarn, "ideal-manager")
+                << "release for idle/unknown server " << release.server;
+          }
+          break;
         }
-      } catch (const InvariantError&) {
-        FINELB_LOG(kWarn, "ideal-manager") << "dropping malformed datagram";
+        default:
+          FINELB_LOG(kWarn, "ideal-manager") << "unexpected message type";
       }
     }
   }

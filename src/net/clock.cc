@@ -16,6 +16,10 @@ SimTime monotonic_now() {
 }
 
 void sleep_until(SimTime deadline) {
+  // clock_nanosleep on a passed deadline still pays the thread's timer
+  // slack (50 us by default), which would be the whole service time of a
+  // zero-length access.
+  if (deadline <= monotonic_now()) return;
   timespec ts{};
   ts.tv_sec = deadline / kSecond;
   ts.tv_nsec = deadline % kSecond;

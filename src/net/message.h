@@ -15,22 +15,25 @@
 //                                to a snapshot request (DESIGN.md §12).
 //
 // Every message starts with a one-byte type tag followed by little-endian
-// fields. Each type offers two codec surfaces with byte-identical wire
-// output:
+// fields. Each type names its tag in `kType` and lists its fields once, in
+// wire order, in `fields()`; deriving from Message<Self> (net/codec.h)
+// supplies all of its codec surfaces from that one list:
 //   * hot path  — encode_into() serializes into a caller buffer (a
 //     DatagramBatch slot or a stack array) and try_decode() parses without
 //     throwing; neither touches the heap for the fixed-size message types.
-//   * compat    — encode() returns a fresh vector and decode() throws
-//     InvariantError on malformed input; thin wrappers over the hot path,
-//     kept for tests and cold control-plane code.
+//   * compat    — encode() returns a fresh vector (cold control-plane
+//     sends) and decode() throws InvariantError on malformed input (tests);
+//     same bytes.
+// AllMessages, at the end, lists all 23 types.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "net/wire.h"
+#include "net/codec.h"
 
 namespace finelb::net {
 
@@ -61,9 +64,14 @@ enum class MsgType : std::uint8_t {
 };
 
 /// Peeks at the type tag; throws on empty payloads.
-MsgType peek_type(std::span<const std::uint8_t> data);
+inline MsgType peek_type(std::span<const std::uint8_t> data) {
+  FINELB_CHECK(!data.empty(), "empty datagram");
+  return static_cast<MsgType>(data[0]);
+}
 
-struct LoadInquiry {
+struct LoadInquiry : Message<LoadInquiry> {
+  static constexpr MsgType kType = MsgType::kLoadInquiry;
+
   std::uint64_t seq = 0;
   /// Distributed-tracing context (0 = untraced): the issuing client's
   /// request id, so the server's reply-time TraceRecord is causally
@@ -73,19 +81,14 @@ struct LoadInquiry {
   /// after telemetry::ClockSync alignment). 0 when untraced.
   std::int64_t origin_ns = 0;
 
-  std::size_t encoded_size() const;
-  /// Serializes into `out`; returns bytes written, 0 if `out` is too small
-  /// (nothing usable is written in that case). Never allocates or throws.
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  /// Non-throwing decode; returns false on malformed input, leaving `out`
-  /// unspecified. Never allocates for fixed-size message types.
-  static bool try_decode(std::span<const std::uint8_t> data, LoadInquiry& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static LoadInquiry decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.trace_id, m.origin_ns);
+  }
 };
 
-struct LoadReply {
+struct LoadReply : Message<LoadReply> {
+  static constexpr MsgType kType = MsgType::kLoadReply;
+
   std::uint64_t seq = 0;
   std::int32_t queue_length = 0;
   /// Echoed from the inquiry (0 = untraced), so a late reply can still be
@@ -98,12 +101,10 @@ struct LoadReply {
   /// paper's staleness measure, on the server's own clock.
   std::int64_t server_ns = 0;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data, LoadReply& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static LoadReply decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.queue_length, m.trace_id, m.origin_ns,
+                    m.server_ns);
+  }
 };
 
 /// Outcome of a service access (Neptune RPC semantics, paper §3.1).
@@ -114,13 +115,14 @@ enum class RpcStatus : std::uint8_t {
   kAppError = 3,
 };
 
-/// Largest RPC args/result blob: one datagram with header room to spare.
-/// encode_into refuses (returns 0) anything larger.
-constexpr std::size_t kMaxRpcPayload = 60 * 1024;
+/// Largest valid RpcStatus: decoders reject any status byte past it.
+constexpr RpcStatus wire_max(RpcStatus) { return RpcStatus::kAppError; }
 
 /// A service access. The experiment service reads `service_us`; a Neptune
 /// service reads `method`, `partition` and `args`.
-struct ServiceRequest {
+struct ServiceRequest : Message<ServiceRequest> {
+  static constexpr MsgType kType = MsgType::kServiceRequest;
+
   std::uint64_t request_id = 0;
   /// Service demand in microseconds (the CPU-time the paper's microbenchmark
   /// would spin for; our workers consume it with deadline sleeps).
@@ -137,17 +139,15 @@ struct ServiceRequest {
   /// Opaque RPC arguments (at most kMaxRpcPayload bytes).
   std::vector<std::uint8_t> args;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  /// Reuses out.args capacity; empty args decode without allocating.
-  static bool try_decode(std::span<const std::uint8_t> data,
-                         ServiceRequest& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static ServiceRequest decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.request_id, m.service_us, m.partition, m.trace_id,
+                    m.origin_ns, m.method, m.args);
+  }
 };
 
-struct ServiceResponse {
+struct ServiceResponse : Message<ServiceResponse> {
+  static constexpr MsgType kType = MsgType::kServiceResponse;
+
   std::uint64_t request_id = 0;
   std::int32_t server = 0;
   /// Queue length observed when the request entered the server (diagnostic).
@@ -160,53 +160,47 @@ struct ServiceResponse {
   /// Opaque RPC result (at most kMaxRpcPayload bytes).
   std::vector<std::uint8_t> result;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  /// Rejects unknown status bytes; reuses out.result capacity.
-  static bool try_decode(std::span<const std::uint8_t> data,
-                         ServiceResponse& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static ServiceResponse decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.request_id, m.server, m.queue_at_arrival, m.trace_id,
+                    m.server_ns, m.status, m.result);
+  }
 };
 
-struct Acquire {
+struct Acquire : Message<Acquire> {
+  static constexpr MsgType kType = MsgType::kAcquire;
+
   std::uint64_t seq = 0;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data, Acquire& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static Acquire decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq);
+  }
 };
 
-struct AcquireReply {
+struct AcquireReply : Message<AcquireReply> {
+  static constexpr MsgType kType = MsgType::kAcquireReply;
+
   std::uint64_t seq = 0;
   std::int32_t server = 0;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data,
-                         AcquireReply& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static AcquireReply decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.server);
+  }
 };
 
-struct Release {
+struct Release : Message<Release> {
+  static constexpr MsgType kType = MsgType::kRelease;
+
   std::int32_t server = 0;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data, Release& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static Release decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.server);
+  }
 };
 
 /// A server's soft-state announcement to the availability channel.
-struct Publish {
+struct Publish : Message<Publish> {
+  static constexpr MsgType kType = MsgType::kPublish;
+
   std::string service;        // service type, e.g. "image-store"
   std::uint32_t partition = 0;
   std::int32_t server = 0;    // dense experiment-wide server id
@@ -214,99 +208,83 @@ struct Publish {
   std::uint16_t load_port = 0;
   std::uint32_t ttl_ms = 0;   // entry expires unless refreshed within ttl
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  /// try_decode assigns into out.service, reusing its capacity across calls.
-  static bool try_decode(std::span<const std::uint8_t> data, Publish& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static Publish decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.service, m.partition, m.server, m.service_port,
+                    m.load_port, m.ttl_ms);
+  }
 };
 
-struct SnapshotRequest {
+struct SnapshotRequest : Message<SnapshotRequest> {
+  static constexpr MsgType kType = MsgType::kSnapshotRequest;
+
   std::uint64_t seq = 0;
   std::string service;  // empty = all services
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data,
-                         SnapshotRequest& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static SnapshotRequest decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.service);
+  }
 };
 
-struct SnapshotReply {
+struct SnapshotReply : Message<SnapshotReply> {
+  static constexpr MsgType kType = MsgType::kSnapshotReply;
+
   std::uint64_t seq = 0;
   std::vector<Publish> entries;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  /// Rejects entry counts that cannot fit the remaining bytes before
-  /// reserving storage, so a garbage count cannot force a huge allocation.
-  static bool try_decode(std::span<const std::uint8_t> data,
-                         SnapshotReply& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static SnapshotReply decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.entries);
+  }
 };
 
 /// A server's periodic load announcement on the broadcast channel
 /// (prototype extension of the paper's §2.2 broadcast policy).
-struct LoadAnnounce {
+struct LoadAnnounce : Message<LoadAnnounce> {
+  static constexpr MsgType kType = MsgType::kLoadAnnounce;
+
   std::int32_t server = 0;
   std::int32_t queue_length = 0;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data,
-                         LoadAnnounce& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static LoadAnnounce decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.server, m.queue_length);
+  }
 };
 
 /// A client's (soft-state) subscription to the broadcast channel.
-struct Subscribe {
+struct Subscribe : Message<Subscribe> {
+  static constexpr MsgType kType = MsgType::kSubscribe;
+
   std::uint32_t ttl_ms = 0;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data, Subscribe& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static Subscribe decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.ttl_ms);
+  }
 };
 
 /// Asks a node's load-index UDP server for a telemetry snapshot (the
 /// observability pull channel; answered out-of-band from LoadInquiry on the
 /// same socket, so scrapers need no extra port).
-struct StatsInquiry {
+struct StatsInquiry : Message<StatsInquiry> {
+  static constexpr MsgType kType = MsgType::kStatsInquiry;
+
   std::uint64_t seq = 0;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data,
-                         StatsInquiry& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static StatsInquiry decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq);
+  }
 };
 
 /// The snapshot answer: a JSON document (telemetry::to_json). Senders must
 /// keep the payload under the str() codec's 64 KiB limit — encode_into
 /// returns 0 for larger payloads, as it does for any undersized buffer.
-struct StatsReply {
+struct StatsReply : Message<StatsReply> {
+  static constexpr MsgType kType = MsgType::kStatsReply;
+
   std::uint64_t seq = 0;
   std::string payload;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  /// try_decode assigns into out.payload, reusing its capacity across calls.
-  static bool try_decode(std::span<const std::uint8_t> data, StatsReply& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static StatsReply decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.payload);
+  }
 };
 
 /// One TraceRecord on the wire (telemetry::TraceRecord without depending on
@@ -318,29 +296,33 @@ struct TraceRecordWire {
   std::int32_t node = -1;
   std::int64_t at_ns = 0;     // sender's monotonic clock, unaligned
   std::int64_t detail = 0;
+
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.request_id, m.point, m.node, m.at_ns, m.detail);
+  }
 };
 
 /// Asks a node's load-index UDP server for a chunk of its trace ring,
 /// starting at record `offset` of the node's current snapshot. Clients walk
 /// offsets until a reply's records cross its advertised total.
-struct TraceInquiry {
+struct TraceInquiry : Message<TraceInquiry> {
+  static constexpr MsgType kType = MsgType::kTraceInquiry;
+
   std::uint64_t seq = 0;
   std::uint32_t offset = 0;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data,
-                         TraceInquiry& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static TraceInquiry decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.offset);
+  }
 };
 
 /// One chunk of a node's trace ring plus a clock probe: `server_ns` is the
 /// answering node's monotonic clock at reply-build time, so every
 /// inquiry/reply round doubles as a ClockSync sample. Senders chunk under
 /// the 64 KiB datagram cap (kTraceReplyMaxRecords records per reply).
-struct TraceReply {
+struct TraceReply : Message<TraceReply> {
+  static constexpr MsgType kType = MsgType::kTraceReply;
+
   std::uint64_t seq = 0;
   std::int32_t node = -1;       // answering node's id
   std::int64_t server_ns = 0;   // answering node's clock (midpoint probe)
@@ -348,14 +330,9 @@ struct TraceReply {
   std::uint32_t offset = 0;     // index of records.front() within that total
   std::vector<TraceRecordWire> records;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  /// Rejects record counts that cannot fit the remaining bytes before
-  /// reserving storage, like SnapshotReply.
-  static bool try_decode(std::span<const std::uint8_t> data, TraceReply& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static TraceReply decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.node, m.server_ns, m.total, m.offset, m.records);
+  }
 };
 
 /// Most polled servers one DecisionRecordWire carries inline — must match
@@ -376,23 +353,33 @@ struct DecisionRecordWire {
     std::int32_t server = -1;
     std::int32_t queue_length = 0;
     std::int64_t age_ns = 0;
+
+    static constexpr auto fields(auto& m) {
+      return std::tie(m.server, m.queue_length, m.age_ns);
+    }
   };
+  /// Only the first polled_count entries go on the wire.
   Polled polled[kDecisionWirePollMax] = {};
+
+  static constexpr auto fields(auto& m) {
+    return std::tuple_cat(std::tie(m.request_id, m.at_ns, m.chosen,
+                                   m.polled_count, m.flags,
+                                   m.blacklist_filtered),
+                          std::tuple(codec::counted(m.polled_count, m.polled)));
+  }
 };
 
 /// Asks a node for a chunk of its decision ring, starting at record
 /// `offset` of the node's current snapshot (walked like TraceInquiry).
-struct DecisionInquiry {
+struct DecisionInquiry : Message<DecisionInquiry> {
+  static constexpr MsgType kType = MsgType::kDecisionInquiry;
+
   std::uint64_t seq = 0;
   std::uint32_t offset = 0;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data,
-                         DecisionInquiry& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static DecisionInquiry decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.offset);
+  }
 };
 
 /// One chunk of a node's decision ring. Like TraceReply, `server_ns` is the
@@ -400,7 +387,9 @@ struct DecisionInquiry {
 /// sample per chunk); senders chunk under the 64 KiB datagram cap
 /// (kDecisionReplyMaxRecords records per reply). Records are variable-size
 /// on the wire: only `polled_count` polled entries are encoded.
-struct DecisionReply {
+struct DecisionReply : Message<DecisionReply> {
+  static constexpr MsgType kType = MsgType::kDecisionReply;
+
   std::uint64_t seq = 0;
   std::int32_t node = -1;
   std::int64_t server_ns = 0;
@@ -408,90 +397,79 @@ struct DecisionReply {
   std::uint32_t offset = 0;
   std::vector<DecisionRecordWire> records;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  /// Rejects record counts that cannot fit the remaining bytes before
-  /// reserving storage, and per-record polled counts past the inline cap.
-  static bool try_decode(std::span<const std::uint8_t> data,
-                         DecisionReply& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static DecisionReply decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.node, m.server_ns, m.total, m.offset, m.records);
+  }
 };
 
 /// A candidate's term-stamped vote solicitation (replicated directory
 /// control plane). One vote per term per replica, so two leaders can never
 /// be elected in the same term.
-struct VoteRequest {
+struct VoteRequest : Message<VoteRequest> {
+  static constexpr MsgType kType = MsgType::kVoteRequest;
+
   std::uint64_t term = 0;
   std::int32_t candidate = -1;  // soliciting replica's id
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data, VoteRequest& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static VoteRequest decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.term, m.candidate);
+  }
 };
 
-struct VoteReply {
+struct VoteReply : Message<VoteReply> {
+  static constexpr MsgType kType = MsgType::kVoteReply;
+
   std::uint64_t term = 0;
   std::int32_t voter = -1;
   bool granted = false;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data, VoteReply& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static VoteReply decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.term, m.voter, m.granted);
+  }
 };
 
 /// The leader's periodic term-numbered heartbeat. There is no log to ship —
 /// directory entries are TTL'd soft state that servers re-publish to every
 /// replica — so the heartbeat only asserts leadership and renews the lease.
-struct Heartbeat {
+struct Heartbeat : Message<Heartbeat> {
+  static constexpr MsgType kType = MsgType::kHeartbeat;
+
   std::uint64_t term = 0;
   std::int32_t leader = -1;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data, Heartbeat& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static Heartbeat decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.term, m.leader);
+  }
 };
 
 /// A follower's answer to a heartbeat. The leader counts recent acks to
 /// decide whether its quorum lease still holds; an ack carrying a larger
 /// term tells a deposed leader to step down.
-struct HeartbeatAck {
+struct HeartbeatAck : Message<HeartbeatAck> {
+  static constexpr MsgType kType = MsgType::kHeartbeatAck;
+
   std::uint64_t term = 0;
   std::int32_t follower = -1;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data, HeartbeatAck& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static HeartbeatAck decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.term, m.follower);
+  }
 };
 
 /// A non-leader replica's answer to a SnapshotRequest: who (it believes) is
 /// leading. leader == -1 / leader_port == 0 means an election is in
 /// progress — the client should fail over to another replica and retry.
-struct Redirect {
+struct Redirect : Message<Redirect> {
+  static constexpr MsgType kType = MsgType::kRedirect;
+
   std::uint64_t seq = 0;  // echoed SnapshotRequest sequence
   std::uint64_t term = 0;
   std::int32_t leader = -1;
   std::uint16_t leader_port = 0;  // leader's data (publish/snapshot) port
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data, Redirect& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static Redirect decode(std::span<const std::uint8_t> data);
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.seq, m.term, m.leader, m.leader_port);
+  }
 };
 
 /// Most records one TraceReply may carry while staying under the UDP
@@ -507,5 +485,42 @@ constexpr std::size_t kDecisionReplyMaxRecords = 400;
 /// (the string-bearing publish/snapshot/trace types and RPC payloads need
 /// encoded_size()).
 constexpr std::size_t kMaxFixedMsgSize = 64;
+
+/// Every message type, for the typed codec tests and the checks below.
+using AllMessages =
+    std::tuple<LoadInquiry, LoadReply, ServiceRequest, ServiceResponse,
+               Acquire, AcquireReply, Release, Publish, SnapshotRequest,
+               SnapshotReply, LoadAnnounce, Subscribe, StatsInquiry,
+               StatsReply, TraceInquiry, TraceReply, DecisionInquiry,
+               DecisionReply, VoteRequest, VoteReply, Heartbeat,
+               HeartbeatAck, Redirect>;
+
+namespace codec {
+
+template <class... M>
+constexpr bool distinct_tags(std::type_identity<std::tuple<M...>>) {
+  constexpr MsgType kTags[] = {M::kType...};
+  for (std::size_t i = 0; i < sizeof...(M); ++i) {
+    for (std::size_t j = i + 1; j < sizeof...(M); ++j) {
+      if (kTags[i] == kTags[j]) return false;
+    }
+  }
+  return true;
+}
+
+template <class... M>
+constexpr bool fixed_sizes_fit(std::type_identity<std::tuple<M...>>) {
+  return ((!kFixedSize<M> || M{}.encoded_size() <= kMaxFixedMsgSize) && ...);
+}
+
+}  // namespace codec
+
+static_assert(codec::distinct_tags(std::type_identity<AllMessages>{}),
+              "two message types share a type tag");
+static_assert(codec::fixed_sizes_fit(std::type_identity<AllMessages>{}),
+              "a fixed-size message outgrew kMaxFixedMsgSize");
+static_assert(ServiceRequest{}.encoded_size() <= kMaxFixedMsgSize &&
+                  ServiceResponse{}.encoded_size() <= kMaxFixedMsgSize,
+              "an RPC message without payload outgrew kMaxFixedMsgSize");
 
 }  // namespace finelb::net

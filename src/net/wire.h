@@ -73,9 +73,6 @@ class SpanWriter {
   }
   void u16(std::uint16_t v) { append_le(v); }
   void u32(std::uint32_t v) { append_le(v); }
-  void u64(std::uint64_t v) { append_le(v); }
-  void i32(std::int32_t v) { append_le(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { append_le(static_cast<std::uint64_t>(v)); }
 
   /// Length-prefixed (u16) byte string; same wire format as Writer::str.
   void str(std::string_view s) {
@@ -93,28 +90,39 @@ class SpanWriter {
     append_bytes(data.data(), data.size());
   }
 
-  /// False once any write overflowed the buffer (or a string was oversized).
-  bool ok() const { return ok_; }
-  /// Bytes written so far (only meaningful while ok()).
-  std::size_t size() const { return pos_; }
-
- private:
+  /// Any unsigned integer, little-endian.
   template <class T>
   void append_le(T v) {
     if (pos_ + sizeof(T) > out_.size()) {
       ok_ = false;
       return;
     }
+    // Byte stores through `at` may alias this writer, so pos_ is updated
+    // once after them; indexing out_[pos_++] would reload it per byte and
+    // keep the compiler from merging the stores.
+    std::uint8_t* at = out_.data() + pos_;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out_[pos_++] = static_cast<std::uint8_t>(v >> (8 * i));
+      at[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    pos_ += sizeof(T);
   }
 
+  /// Marks the encoding unusable (a field past its wire limit).
+  void fail() { ok_ = false; }
+  /// False once any write overflowed the buffer (or a string was oversized).
+  bool ok() const { return ok_; }
+  /// Bytes written so far (only meaningful while ok()).
+  std::size_t size() const { return pos_; }
+
+ private:
   void append_bytes(const std::uint8_t* data, std::size_t n) {
     if (!ok_ || pos_ + n > out_.size()) {
       ok_ = false;
       return;
     }
+    // An empty string or blob may have a null data(), which memcpy must
+    // not see even for zero bytes.
+    if (n == 0) return;
     std::memcpy(out_.data() + pos_, data, n);
     pos_ += n;
   }
@@ -182,9 +190,6 @@ class TryReader {
   std::uint8_t u8() { return read_le<std::uint8_t>(); }
   std::uint16_t u16() { return read_le<std::uint16_t>(); }
   std::uint32_t u32() { return read_le<std::uint32_t>(); }
-  std::uint64_t u64() { return read_le<std::uint64_t>(); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
   void str(std::string& out) {
     const std::size_t len = u16();
@@ -209,11 +214,7 @@ class TryReader {
     pos_ += len;
   }
 
-  bool ok() const { return ok_; }
-  std::size_t remaining() const { return data_.size() - pos_; }
-  bool done() const { return pos_ == data_.size(); }
-
- private:
+  /// Any unsigned integer, little-endian.
   template <class T>
   T read_le() {
     if (!ok_ || remaining() < sizeof(T)) {
@@ -228,6 +229,13 @@ class TryReader {
     return v;
   }
 
+  /// Marks the input malformed (a value the wire format forbids).
+  void fail() { ok_ = false; }
+  bool ok() const { return ok_; }
+  std::size_t remaining() const { return data_.size() - pos_; }
+  bool done() const { return pos_ == data_.size(); }
+
+ private:
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   bool ok_ = true;

@@ -378,6 +378,38 @@ TEST(ClientNodeTest, PollingSurvivesDeadLoadServer) {
   EXPECT_GT(stats.completed, 0);
 }
 
+/// Every access arrives at once and needs no service time.
+class BurstSource : public RequestSource {
+ public:
+  TraceRecord next() override { return {}; }
+};
+
+TEST(ClientNodeTest, DispatchBurstLosesNoResponse) {
+  // A burst of dispatches in one pass of the client loop: a random-policy
+  // arrival backlog, or poll rounds that all expire together because no
+  // load server answers. Zero-service servers answer as fast as requests go
+  // out, so more answers arrive than the service socket's receive buffer
+  // holds unless the client reads them while it dispatches.
+  for (const PolicyConfig& policy :
+       {PolicyConfig::random(), PolicyConfig::polling(3)}) {
+    TestCluster cluster(4);
+    std::vector<std::unique_ptr<net::UdpSocket>> dead_load;
+    ClientOptions opts = base_options(cluster, policy, 12000);
+    for (ServerEndpoints& endpoint : opts.servers) {
+      dead_load.push_back(std::make_unique<net::UdpSocket>());
+      endpoint.load_addr = dead_load.back()->local_address();
+    }
+    opts.max_poll_wait = 20 * kMillisecond;
+    opts.response_timeout = kSecond;
+    ClientNode client(std::move(opts), std::make_unique<BurstSource>());
+    client.run();
+    const ClientStats& stats = client.stats();
+    EXPECT_EQ(stats.issued, 12000) << policy.describe();
+    EXPECT_EQ(stats.response_timeouts, 0) << policy.describe();
+    EXPECT_EQ(stats.completed, 12000) << policy.describe();
+  }
+}
+
 TEST(ClientNodeTest, ValidationErrors) {
   TestCluster cluster(1);
   ClientOptions no_servers = base_options(cluster, PolicyConfig::random(), 10);

@@ -3,13 +3,80 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <span>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
 
 namespace finelb::net {
 namespace {
+
+// Codec surfaces of one message: encode_into must be byte-identical to
+// encode(), refuse too-small buffers without writing past them, and
+// try_decode must accept exactly what decode() accepts while rejecting
+// every truncation and a wrong type tag without throwing.
+
+template <class Msg>
+void CheckWireSurfaces(const Msg& msg) {
+  const std::vector<std::uint8_t> legacy = msg.encode();
+  ASSERT_FALSE(legacy.empty());
+  EXPECT_EQ(legacy.size(), msg.encoded_size());
+
+  // Byte-identical hot-path encoding; guard bytes past the end untouched.
+  std::vector<std::uint8_t> hot(legacy.size() + 8, 0xab);
+  const std::size_t n = msg.encode_into(hot);
+  ASSERT_EQ(n, legacy.size());
+  EXPECT_TRUE(std::equal(legacy.begin(), legacy.end(), hot.begin()));
+  for (std::size_t i = n; i < hot.size(); ++i) {
+    ASSERT_EQ(hot[i], 0xab) << "guard byte " << i << " clobbered";
+  }
+
+  // Every too-small output buffer is refused with 0 bytes written, and the
+  // guard bytes past its end are untouched.
+  std::vector<std::uint8_t> small(legacy.size(), 0xab);
+  for (std::size_t len = 0; len < legacy.size(); ++len) {
+    EXPECT_EQ(msg.encode_into(std::span(small.data(), len)), 0u)
+        << "buffer of " << len << " accepted";
+    for (std::size_t i = len; i < std::min(len + 8, small.size()); ++i) {
+      ASSERT_EQ(small[i], 0xab) << "buffer of " << len << " overrun at " << i;
+    }
+  }
+
+  // Both decode surfaces accept the full encoding...
+  Msg accepted;
+  EXPECT_TRUE(Msg::try_decode(legacy, accepted));
+  EXPECT_NO_THROW(Msg::decode(legacy));
+
+  // ...and reject every proper prefix (truncated datagram).
+  for (std::size_t len = 0; len < legacy.size(); ++len) {
+    const std::span<const std::uint8_t> prefix(legacy.data(), len);
+    Msg scratch;
+    EXPECT_FALSE(Msg::try_decode(prefix, scratch)) << "prefix " << len;
+    EXPECT_THROW(Msg::decode(prefix), InvariantError) << "prefix " << len;
+  }
+
+  // A wrong type tag is rejected, not misparsed.
+  std::vector<std::uint8_t> wrong_tag = legacy;
+  wrong_tag[0] = 0xee;
+  Msg scratch;
+  EXPECT_FALSE(Msg::try_decode(wrong_tag, scratch));
+  EXPECT_THROW(Msg::decode(wrong_tag), InvariantError);
+}
+
+/// Every proper prefix of `msg`'s encoding must be rejected by decode().
+template <class Msg>
+void ExpectPrefixesRejected(const Msg& msg) {
+  const std::vector<std::uint8_t> bytes = msg.encode();
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t len = 1; len < bytes.size(); ++len) {
+    EXPECT_THROW(Msg::decode(all.subspan(0, len)), InvariantError)
+        << "prefix " << len;
+  }
+}
 
 TEST(MessageTest, LoadInquiryRoundTrip) {
   LoadInquiry m;
@@ -147,11 +214,7 @@ TEST(RpcCodecTest, TruncatedPrefixesRejected) {
   ServiceRequest request;
   request.request_id = 1;
   request.args = {1, 2, 3};
-  const auto bytes = request.encode();
-  const std::span<const std::uint8_t> all(bytes);
-  for (std::size_t len = 1; len < bytes.size(); ++len) {
-    EXPECT_THROW(ServiceRequest::decode(all.subspan(0, len)), InvariantError);
-  }
+  ExpectPrefixesRejected(request);
 }
 
 TEST(RpcCodecTest, UnknownStatusByteRejected) {
@@ -433,19 +496,18 @@ TEST(MessageTest, RedirectRoundTrip) {
 class MessageTruncation : public ::testing::TestWithParam<int> {};
 
 TEST_P(MessageTruncation, AllPrefixesRejected) {
-  std::vector<std::uint8_t> bytes;
   switch (GetParam()) {
     case 0: {
       LoadInquiry m;
       m.seq = 7;
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 1: {
       LoadReply m;
       m.seq = 7;
       m.queue_length = 3;
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 2: {
@@ -453,7 +515,7 @@ TEST_P(MessageTruncation, AllPrefixesRejected) {
       m.request_id = 7;
       m.method = 2;
       m.args = {1, 2, 3};
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 3: {
@@ -461,19 +523,19 @@ TEST_P(MessageTruncation, AllPrefixesRejected) {
       m.request_id = 7;
       m.status = RpcStatus::kAppError;
       m.result = {4, 5, 6};
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 4: {
       Publish m;
       m.service = "svc";
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 5: {
       TraceInquiry m;
       m.seq = 7;
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 6: {
@@ -481,14 +543,14 @@ TEST_P(MessageTruncation, AllPrefixesRejected) {
       m.seq = 7;
       m.total = 1;
       m.records.emplace_back();
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 7: {
       VoteRequest m;
       m.term = 7;
       m.candidate = 1;
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 8: {
@@ -496,21 +558,21 @@ TEST_P(MessageTruncation, AllPrefixesRejected) {
       m.term = 7;
       m.voter = 1;
       m.granted = true;
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 9: {
       Heartbeat m;
       m.term = 7;
       m.leader = 1;
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 10: {
       HeartbeatAck m;
       m.term = 7;
       m.follower = 1;
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 11: {
@@ -519,13 +581,13 @@ TEST_P(MessageTruncation, AllPrefixesRejected) {
       m.term = 7;
       m.leader = 1;
       m.leader_port = 9000;
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 12: {
       DecisionInquiry m;
       m.seq = 7;
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
     }
     case 13: {
@@ -534,112 +596,14 @@ TEST_P(MessageTruncation, AllPrefixesRejected) {
       m.total = 1;
       m.records.emplace_back();
       m.records.back().polled_count = 2;
-      bytes = m.encode();
+      ExpectPrefixesRejected(m);
       break;
-    }
-  }
-  const std::span<const std::uint8_t> all(bytes);
-  for (std::size_t len = 1; len < bytes.size(); ++len) {
-    const auto prefix = all.subspan(0, len);
-    switch (GetParam()) {
-      case 0:
-        EXPECT_THROW(LoadInquiry::decode(prefix), InvariantError);
-        break;
-      case 1:
-        EXPECT_THROW(LoadReply::decode(prefix), InvariantError);
-        break;
-      case 2:
-        EXPECT_THROW(ServiceRequest::decode(prefix), InvariantError);
-        break;
-      case 3:
-        EXPECT_THROW(ServiceResponse::decode(prefix), InvariantError);
-        break;
-      case 4:
-        EXPECT_THROW(Publish::decode(prefix), InvariantError);
-        break;
-      case 5:
-        EXPECT_THROW(TraceInquiry::decode(prefix), InvariantError);
-        break;
-      case 6:
-        EXPECT_THROW(TraceReply::decode(prefix), InvariantError);
-        break;
-      case 7:
-        EXPECT_THROW(VoteRequest::decode(prefix), InvariantError);
-        break;
-      case 8:
-        EXPECT_THROW(VoteReply::decode(prefix), InvariantError);
-        break;
-      case 9:
-        EXPECT_THROW(Heartbeat::decode(prefix), InvariantError);
-        break;
-      case 10:
-        EXPECT_THROW(HeartbeatAck::decode(prefix), InvariantError);
-        break;
-      case 11:
-        EXPECT_THROW(Redirect::decode(prefix), InvariantError);
-        break;
-      case 12:
-        EXPECT_THROW(DecisionInquiry::decode(prefix), InvariantError);
-        break;
-      case 13:
-        EXPECT_THROW(DecisionReply::decode(prefix), InvariantError);
-        break;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMessageTypes, MessageTruncation,
                          ::testing::Range(0, 14));
-
-// ---------------------------------------------------------------------------
-// Hot-path codec surfaces: for every one of the 12 message types,
-// encode_into must be byte-identical to encode(), refuse too-small buffers
-// without writing past them, and try_decode must accept exactly what
-// decode() accepts while rejecting every truncation and a wrong type tag
-// without throwing.
-
-template <class Msg>
-void CheckWireSurfaces(const Msg& msg) {
-  const std::vector<std::uint8_t> legacy = msg.encode();
-  ASSERT_FALSE(legacy.empty());
-  EXPECT_EQ(legacy.size(), msg.encoded_size());
-
-  // Byte-identical hot-path encoding; guard bytes past the end untouched.
-  std::vector<std::uint8_t> hot(legacy.size() + 8, 0xab);
-  const std::size_t n = msg.encode_into(hot);
-  ASSERT_EQ(n, legacy.size());
-  EXPECT_TRUE(std::equal(legacy.begin(), legacy.end(), hot.begin()));
-  for (std::size_t i = n; i < hot.size(); ++i) {
-    ASSERT_EQ(hot[i], 0xab) << "guard byte " << i << " clobbered";
-  }
-
-  // Every too-small output buffer is refused with 0 bytes written.
-  std::vector<std::uint8_t> small(legacy.size());
-  for (std::size_t len = 0; len < legacy.size(); ++len) {
-    EXPECT_EQ(msg.encode_into(std::span(small.data(), len)), 0u)
-        << "buffer of " << len << " accepted";
-  }
-
-  // Both decode surfaces accept the full encoding...
-  Msg accepted;
-  EXPECT_TRUE(Msg::try_decode(legacy, accepted));
-  EXPECT_NO_THROW(Msg::decode(legacy));
-
-  // ...and reject every proper prefix (truncated datagram).
-  for (std::size_t len = 0; len < legacy.size(); ++len) {
-    const std::span<const std::uint8_t> prefix(legacy.data(), len);
-    Msg scratch;
-    EXPECT_FALSE(Msg::try_decode(prefix, scratch)) << "prefix " << len;
-    EXPECT_THROW(Msg::decode(prefix), InvariantError) << "prefix " << len;
-  }
-
-  // A wrong type tag is rejected, not misparsed.
-  std::vector<std::uint8_t> wrong_tag = legacy;
-  wrong_tag[0] = 0xee;
-  Msg scratch;
-  EXPECT_FALSE(Msg::try_decode(wrong_tag, scratch));
-  EXPECT_THROW(Msg::decode(wrong_tag), InvariantError);
-}
 
 TEST(MessageHotPath, FixedTypesRoundTrip) {
   LoadInquiry inquiry;
@@ -1149,6 +1113,120 @@ TEST(MessageHotPath, GarbageRejectedWithoutThrowing) {
     EXPECT_NO_THROW(StatsReply::try_decode(junk, n));
     EXPECT_NO_THROW(TraceInquiry::try_decode(junk, o));
     EXPECT_NO_THROW(TraceReply::try_decode(junk, p));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Typed property suite over every type in AllMessages. Instances are filled
+// from a seeded generator through the type's own fields() list, so a field
+// added to a message is covered without touching this file.
+
+static_assert(std::tuple_size_v<AllMessages> == 23);
+
+/// Seeded random value for every field; counted arrays get an in-range
+/// count.
+template <class T>
+void Fill(T& v, std::mt19937_64& rng) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = (rng() & 1) != 0;
+  } else if constexpr (std::is_enum_v<T>) {
+    const auto values = static_cast<std::uint64_t>(wire_max(T{})) + 1;
+    v = static_cast<T>(rng() % values);
+  } else if constexpr (std::is_integral_v<T>) {
+    v = static_cast<T>(rng());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v.resize(rng() % 24);
+    for (char& c : v) c = static_cast<char>('a' + rng() % 26);
+  } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+    v.resize(rng() % 24);
+    for (std::uint8_t& b : v) b = static_cast<std::uint8_t>(rng());
+  } else if constexpr (codec::IsVector<T>::value) {
+    v.resize(rng() % 4);
+    for (auto& e : v) Fill(e, rng);
+  } else if constexpr (codec::IsCounted<T>::value) {
+    v.count = static_cast<std::remove_reference_t<decltype(v.count)>>(
+        rng() % (T::kExtent + 1));
+    for (auto& item : v.items) Fill(item, rng);
+  } else {
+    std::apply([&rng](auto&&... f) { (Fill(f, rng), ...); }, T::fields(v));
+  }
+}
+
+template <class Msg>
+Msg Filled(std::mt19937_64& rng) {
+  Msg m;
+  Fill(m, rng);
+  return m;
+}
+
+template <class Tuple>
+struct AsTestTypes;
+template <class... M>
+struct AsTestTypes<std::tuple<M...>> {
+  using type = ::testing::Types<M...>;
+};
+
+template <class Msg>
+class MessageProperty : public ::testing::Test {};
+TYPED_TEST_SUITE(MessageProperty, AsTestTypes<AllMessages>::type);
+
+TYPED_TEST(MessageProperty, SeededRoundTrip) {
+  using Msg = TypeParam;
+  std::mt19937_64 rng(1);
+  Msg out;  // reused across rounds, as the receive loops reuse theirs
+  for (int round = 0; round < 64; ++round) {
+    const Msg m = Filled<Msg>(rng);
+    const std::vector<std::uint8_t> bytes = m.encode();
+    ASSERT_TRUE(Msg::try_decode(bytes, out)) << "round " << round;
+    EXPECT_EQ(out.encode(), bytes) << "round " << round;
+    EXPECT_EQ(Msg::decode(bytes).encode(), bytes) << "round " << round;
+  }
+}
+
+TYPED_TEST(MessageProperty, SurfacesAgreeAndRejectTruncation) {
+  // encoded_size() == encode_into() == encode(); too-small buffers give 0
+  // with guard bytes intact; every proper prefix is rejected by both
+  // decoders.
+  using Msg = TypeParam;
+  CheckWireSurfaces(Msg{});
+  std::mt19937_64 rng(2);
+  for (int round = 0; round < 8; ++round) CheckWireSurfaces(Filled<Msg>(rng));
+}
+
+TYPED_TEST(MessageProperty, EveryOtherTagRejected) {
+  using Msg = TypeParam;
+  std::mt19937_64 rng(3);
+  std::vector<std::uint8_t> bytes = Filled<Msg>(rng).encode();
+  for (int tag = 0; tag < 256; ++tag) {
+    if (tag == static_cast<int>(Msg::kType)) continue;
+    bytes[0] = static_cast<std::uint8_t>(tag);
+    Msg out;
+    EXPECT_FALSE(Msg::try_decode(bytes, out)) << "tag " << tag;
+  }
+}
+
+TYPED_TEST(MessageProperty, RandomBytesUnderItsTagNeverThrow) {
+  // Even rounds are random bytes, half of them zero so that small lengths
+  // and counts are common; odd rounds overwrite 1-4 bytes of a valid
+  // encoding, which reaches the checks deep inside list entries.
+  using Msg = TypeParam;
+  std::mt19937_64 rng(4);
+  Msg out;
+  for (int round = 0; round < 1000; ++round) {
+    std::vector<std::uint8_t> junk;
+    if (round % 2 == 0) {
+      junk.resize(1 + rng() % 128);
+      for (std::uint8_t& b : junk) {
+        b = (rng() & 1) != 0 ? 0 : static_cast<std::uint8_t>(rng());
+      }
+    } else {
+      junk = Filled<Msg>(rng).encode();
+      for (int flips = 1 + static_cast<int>(rng() % 4); flips > 0; --flips) {
+        junk[rng() % junk.size()] = static_cast<std::uint8_t>(rng());
+      }
+    }
+    junk[0] = static_cast<std::uint8_t>(Msg::kType);
+    EXPECT_NO_THROW((void)Msg::try_decode(junk, out)) << "round " << round;
   }
 }
 

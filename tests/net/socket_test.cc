@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <thread>
@@ -136,6 +137,20 @@ TEST(ClockTest, SleepUntilHonoursDeadline) {
   const SimTime t2 = monotonic_now();
   sleep_until(t2 - kSecond);
   EXPECT_LT(monotonic_now() - t2, 50 * kMillisecond);
+}
+
+TEST(ClockTest, SleepUntilPassedDeadlineReturnsAtOnce) {
+  // A passed deadline must not reach clock_nanosleep, which would round
+  // the call up to the timer slack (~50 us by default).
+  std::vector<SimDuration> took;
+  took.reserve(1001);
+  for (int i = 0; i < 1001; ++i) {
+    const SimTime start = monotonic_now();
+    sleep_until(start);
+    took.push_back(monotonic_now() - start);
+  }
+  std::nth_element(took.begin(), took.begin() + 500, took.end());
+  EXPECT_LT(took[500], 5 * kMicrosecond);
 }
 
 TEST(ClockTest, SleepForZeroOrNegativeIsNoop) {

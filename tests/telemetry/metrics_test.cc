@@ -111,11 +111,17 @@ TEST(RegistryConcurrencyTest, ScrapeDuringHeavyWritesNeverTearsCounters) {
   constexpr int kWriters = 4;
   constexpr int kIters = 50000;
   std::atomic<bool> stop{false};
+  // Writers start once the scraper has taken its first snapshot, so the
+  // scrapes overlap the writes however the threads are scheduled.
+  std::atomic<bool> scraping{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&registry] {
+    writers.emplace_back([&registry, &scraping] {
       Counter c = registry.counter("paired");
       Histogram h = registry.histogram("latency_ms");
+      while (!scraping.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kIters; ++i) {
         c.add(2);
         h.record(0.5 + static_cast<double>(i % 100));
@@ -144,6 +150,7 @@ TEST(RegistryConcurrencyTest, ScrapeDuringHeavyWritesNeverTearsCounters) {
         EXPECT_GE(h->count, last_count) << "histogram went backwards";
         last_count = h->count;
       }
+      scraping.store(true, std::memory_order_release);
     }
   });
 
