@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Full CI sweep for the finelb prototype:
-#   1. tier-1 verify  — default build, entire ctest suite;
+#   1. tier-1 verify  — shutdown-polling lint (no loop in src/cluster or
+#                       src/telemetry may wait on a timeout only to notice
+#                       stop(); they wake on net::StopSignal), then the
+#                       default build and the entire ctest suite;
 #   1b. benchmark build — configures and builds perfbench/ (the benchmark
 #                       BENCHMARK.json declares), which compiles src/
 #                       directly: a src/ change that breaks a name the
@@ -54,7 +57,21 @@ configure_and_build() {
   cmake --build "${dir}" -j"${jobs}"
 }
 
-stage "tier-1: default build + full test suite"
+# Prints every shutdown-polling idiom under the given directories: a 50 ms
+# poll timeout, or a running_ loop that sleeps (within three lines) to
+# re-check the flag.
+shutdown_polling() {
+  grep -rnE 'wait\(50 \* kMillisecond\)' "$@" || true
+  grep -rn -A3 -E 'while \(running_' "$@" | grep -E 'sleep_for\(' || true
+}
+
+stage "tier-1: shutdown-polling lint + default build + full test suite"
+found="$(shutdown_polling "${repo}/src/cluster" "${repo}/src/telemetry")"
+if [[ -n "${found}" ]]; then
+  echo "shutdown-polling idiom found; wake the loop on net::StopSignal:"
+  echo "${found}"
+  exit 1
+fi
 configure_and_build "${build_root}/default"
 ctest --test-dir "${build_root}/default" -j"${jobs}" --output-on-failure
 

@@ -24,11 +24,13 @@ BroadcastChannel::~BroadcastChannel() { stop(); }
 
 void BroadcastChannel::start() {
   FINELB_CHECK(!running_.exchange(true), "channel already started");
+  stop_.reset();
   thread_ = std::thread([this] { recv_loop(); });
 }
 
 void BroadcastChannel::stop() {
   if (!running_.exchange(false)) return;
+  stop_.notify();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -50,9 +52,10 @@ std::size_t BroadcastChannel::subscriber_count() const {
 void BroadcastChannel::recv_loop() {
   net::Poller poller;
   poller.add(socket_.fd(), 0);
+  poller.add(stop_.fd(), 1);
   std::array<std::uint8_t, 128> buf{};
   while (running_.load(std::memory_order_relaxed)) {
-    if (poller.wait(50 * kMillisecond).empty()) continue;
+    poller.wait(-1);  // until a datagram arrives or stop() fires
     while (auto dgram = socket_.recv_from(buf)) {
       const std::span<const std::uint8_t> data(buf.data(), dgram->size);
       if (data.empty()) continue;  // peek_type throws on empty datagrams

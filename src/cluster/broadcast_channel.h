@@ -18,6 +18,7 @@
 
 #include "common/time.h"
 #include "net/socket.h"
+#include "net/stop_signal.h"
 
 namespace finelb::cluster {
 
@@ -42,6 +43,7 @@ class BroadcastChannel {
 
   net::UdpSocket socket_;
   std::atomic<bool> running_{false};
+  net::StopSignal stop_;  // wakes recv_loop
   std::thread thread_;
   mutable std::mutex mutex_;
   // subscriber address (packed) -> {address, expiry}

@@ -126,6 +126,10 @@ ClientNode::ClientNode(ClientOptions options,
   poll_sockets_.reserve(options_.servers.size());
   for (std::size_t i = 0; i < options_.servers.size(); ++i) {
     poll_sockets_.emplace_back();
+    // A poll burst from every server lands here between two drains; the
+    // default ~208 KiB (about 250 datagrams) overflows when the client
+    // thread is descheduled.
+    poll_sockets_.back().set_buffer_sizes(1 << 21);
     poll_sockets_.back().connect(options_.servers[i].load_addr);
     poll_sockets_.back().attach_fault_injector(options_.fault);
     poller_.add(poll_sockets_.back().fd(), kPollTagBase + i);

@@ -94,11 +94,13 @@ DirectoryServer::~DirectoryServer() { stop(); }
 
 void DirectoryServer::start() {
   FINELB_CHECK(!running_.exchange(true), "directory already started");
+  stop_.reset();
   thread_ = std::thread([this] { recv_loop(); });
 }
 
 void DirectoryServer::stop() {
   if (!running_.exchange(false)) return;
+  stop_.notify();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -114,9 +116,10 @@ std::vector<net::Publish> DirectoryServer::live_entries(
 void DirectoryServer::recv_loop() {
   net::Poller poller;
   poller.add(socket_.fd(), 0);
+  poller.add(stop_.fd(), 1);
   std::array<std::uint8_t, 2048> buf{};
   while (running_.load(std::memory_order_relaxed)) {
-    if (poller.wait(50 * kMillisecond).empty()) continue;
+    poller.wait(-1);  // until a datagram arrives or stop() fires
     while (auto dgram = socket_.recv_from(buf)) {
       const std::span<const std::uint8_t> data(buf.data(), dgram->size);
       if (data.empty()) continue;  // peek_type throws on empty datagrams
@@ -267,12 +270,19 @@ std::vector<ServiceEndpoint> DirectoryClient::wait_for_servers(
     SimDuration deadline_from_now) {
   const SimTime deadline = net::monotonic_now() + deadline_from_now;
   std::vector<ServiceEndpoint> endpoints;
+  // Servers announce themselves within a millisecond or two of start(), so
+  // re-fetch quickly at first and back off (1 ms doubling to 20 ms) only
+  // if they are slow to show up.
+  SimDuration pause = kMillisecond;
+  constexpr SimDuration kPauseCap = 20 * kMillisecond;
   for (;;) {
     if (auto got = try_fetch(service)) endpoints = std::move(*got);
-    if (endpoints.size() >= min_servers || net::monotonic_now() >= deadline) {
+    const SimTime now = net::monotonic_now();
+    if (endpoints.size() >= min_servers || now >= deadline) {
       return endpoints;
     }
-    net::sleep_for(20 * kMillisecond);
+    net::sleep_until(std::min(now + pause, deadline));
+    pause = std::min(pause * 2, kPauseCap);
   }
 }
 

@@ -15,6 +15,7 @@
 #include "cluster/ha/replica.h"
 #include "cluster/ideal_manager.h"
 #include "net/clock.h"
+#include "net/stop_signal.h"
 #include "telemetry/clock_sync.h"
 #include "telemetry/export.h"
 #include "telemetry/scrape.h"
@@ -240,7 +241,9 @@ PrototypeResult run_prototype(const PrototypeConfig& config,
   // ServerNode::stop() joins the victim's threads, after which it stops
   // answering polls, serving requests, and refreshing its directory entry —
   // exactly the failure mode the hardening is meant to survive.
-  std::atomic<bool> clients_done{false};
+  // Fires once every client has finished; the kill threads sleep on it so
+  // an early finish cuts their remaining schedule short at once.
+  net::StopSignal clients_done;
   std::atomic<int> killed{0};
   std::thread killer;
   if (!config.kills.empty()) {
@@ -251,12 +254,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config,
                   return a.after < b.after;
                 });
       for (const ServerKill& kill : schedule) {
-        const SimTime due = started + kill.after;
-        while (net::monotonic_now() < due) {
-          if (clients_done.load(std::memory_order_relaxed)) return;
-          net::sleep_for(std::min<SimDuration>(due - net::monotonic_now(),
-                                               10 * kMillisecond));
-        }
+        if (clients_done.sleep_until(started + kill.after)) return;
         FINELB_LOG(kInfo, "experiment")
             << "killing server " << kill.server << " at +"
             << to_ms(net::monotonic_now() - started) << " ms";
@@ -278,12 +276,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config,
       std::vector<SimDuration> schedule = config.directory_leader_kills;
       std::sort(schedule.begin(), schedule.end());
       for (const SimDuration after : schedule) {
-        const SimTime due = started + after;
-        while (net::monotonic_now() < due) {
-          if (clients_done.load(std::memory_order_relaxed)) return;
-          net::sleep_for(std::min<SimDuration>(due - net::monotonic_now(),
-                                               10 * kMillisecond));
-        }
+        if (clients_done.sleep_until(started + after)) return;
         const std::int32_t victim = ha_directory->kill_leader();
         if (victim < 0) {
           FINELB_LOG(kWarn, "experiment")
@@ -300,7 +293,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config,
   }
 
   for (auto& thread : client_threads) thread.join();
-  clients_done.store(true, std::memory_order_relaxed);
+  clients_done.notify();
   if (killer.joinable()) killer.join();
   if (dir_killer.joinable()) dir_killer.join();
   reporter.reset();  // joins the reporter thread before nodes wind down

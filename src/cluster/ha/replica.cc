@@ -58,11 +58,13 @@ void HaDirectoryReplica::start() {
   FINELB_CHECK(config_.cluster_size == 1 || !control_addrs_.empty(),
                "connect_peers must run before start");
   FINELB_CHECK(!running_.exchange(true), "replica already started");
+  stop_.reset();
   thread_ = std::thread([this] { run_loop(); });
 }
 
 void HaDirectoryReplica::stop() {
   if (!running_.exchange(false)) return;
+  stop_.notify();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -254,10 +256,12 @@ void HaDirectoryReplica::run_loop() {
   net::Poller poller;
   poller.add(data_socket_.fd(), 0);
   poller.add(control_socket_.fd(), 1);
+  poller.add(stop_.fd(), 2);
   std::array<std::uint8_t, 2048> buf{};
   // Poll granularity bounds how late a timer (heartbeat, election
   // deadline) can fire; a quarter of the heartbeat interval keeps jitter
-  // well under the randomized timeout spread.
+  // well under the randomized timeout spread. Shutdown does not wait for
+  // it: stop() wakes the poll through stop_.
   const SimDuration poll_slice =
       std::max<SimDuration>(kMillisecond, config_.heartbeat_interval / 4);
   // Timer work (tick + state mirror) runs on its own cadence, not per
@@ -270,6 +274,7 @@ void HaDirectoryReplica::run_loop() {
     const SimTime now = net::monotonic_now();
     bool control_ready = events.empty();  // timeout: probe control anyway
     for (const net::Ready& ev : events) {
+      if (ev.tag == 2) continue;  // stop(): the loop condition exits
       if (ev.tag == 0) {
         while (auto dgram = data_socket_.recv_from(buf)) {
           const std::span<const std::uint8_t> data(buf.data(), dgram->size);

@@ -28,6 +28,7 @@
 #include "fault/fault.h"
 #include "net/message.h"
 #include "net/socket.h"
+#include "net/stop_signal.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -111,6 +112,7 @@ class HaDirectoryReplica {
   ElectionCore election_;
   DirectoryTable table_;
   std::atomic<bool> running_{false};
+  net::StopSignal stop_;  // wakes run_loop out of its poll slice
   std::thread thread_;
 
   std::atomic<int> role_{static_cast<int>(Role::kFollower)};

@@ -21,11 +21,13 @@ IdealManager::~IdealManager() { stop(); }
 
 void IdealManager::start() {
   FINELB_CHECK(!running_.exchange(true), "manager already started");
+  stop_.reset();
   thread_ = std::thread([this] { recv_loop(); });
 }
 
 void IdealManager::stop() {
   if (!running_.exchange(false)) return;
+  stop_.notify();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -44,9 +46,12 @@ std::vector<std::int32_t> IdealManager::tracked_queues() const {
 void IdealManager::recv_loop() {
   net::Poller poller;
   poller.add(socket_.fd(), 0);
+  poller.add(stop_.fd(), 1);
   std::array<std::uint8_t, 128> buf{};
   while (running_.load(std::memory_order_relaxed)) {
-    if (poller.wait(50 * kMillisecond).empty()) continue;
+    // Until a datagram arrives, one the fault injector held back falls
+    // due, or stop() fires.
+    poller.wait_until(socket_.next_held_due());
     while (auto dgram = socket_.recv_from(buf)) {
       const std::span<const std::uint8_t> data(buf.data(), dgram->size);
       if (data.empty()) continue;  // peek_type throws on empty datagrams

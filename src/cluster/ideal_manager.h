@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "fault/fault.h"
 #include "net/socket.h"
+#include "net/stop_signal.h"
 
 namespace finelb::cluster {
 
@@ -56,6 +57,7 @@ class IdealManager {
 
   net::UdpSocket socket_;
   std::atomic<bool> running_{false};
+  net::StopSignal stop_;  // wakes recv_loop
   std::thread thread_;
   mutable std::mutex mutex_;
   std::vector<std::int32_t> queues_;

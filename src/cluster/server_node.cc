@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -95,6 +96,7 @@ void ServerNode::start() {
 
 void ServerNode::stop() {
   if (!running_.exchange(false)) return;
+  stop_.notify();
   queue_->close();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
@@ -105,11 +107,14 @@ void ServerNode::stop() {
 void ServerNode::service_recv_loop() {
   net::Poller poller;
   poller.add(service_socket_.fd(), 0);
+  poller.add(stop_.fd(), 1);
   // Experiment requests are fixed-size; a custom handler's RPC args may
   // fill a whole datagram.
   net::DatagramBatch batch(32, options_.handler ? 64 * 1024 : 256);
   while (running_.load(std::memory_order_relaxed)) {
-    if (poller.wait(50 * kMillisecond).empty()) continue;
+    // No timer of its own: block until a request arrives, a datagram the
+    // fault injector held back falls due, or stop() fires.
+    poller.wait_until(service_socket_.next_held_due());
     // Drain the burst with one recvmmsg per batch instead of one recvfrom
     // per request: under fine-grain load many arrivals pile up per wakeup.
     while (service_socket_.recv_batch(batch) > 0) {
@@ -138,6 +143,7 @@ void ServerNode::service_recv_loop() {
 void ServerNode::load_recv_loop() {
   net::Poller poller;
   poller.add(load_socket_.fd(), 0);
+  poller.add(stop_.fd(), 1);
   // Inquiry bursts arrive d-at-a-time (every polling client fans out d
   // inquiries per access): drain and answer them batched, one syscall per
   // burst in each direction.
@@ -187,13 +193,14 @@ void ServerNode::load_recv_loop() {
   };
 
   while (running_.load(std::memory_order_relaxed)) {
-    SimDuration wait = 50 * kMillisecond;
-    if (!delayed.empty()) {
-      SimTime earliest = delayed.front().due;
-      for (const DelayedReply& d : delayed) earliest = std::min(earliest, d.due);
-      wait = std::clamp<SimDuration>(earliest - net::monotonic_now(), 0, wait);
+    // The only timers are the busy-delayed replies and any datagram the
+    // fault injector held back; otherwise block until an inquiry arrives
+    // or stop() fires.
+    std::optional<SimTime> wake_at = load_socket_.next_held_due();
+    for (const DelayedReply& d : delayed) {
+      if (!wake_at || d.due < *wake_at) wake_at = d.due;
     }
-    poller.wait(wait);
+    poller.wait_until(wake_at);
     while (load_socket_.recv_batch(inquiries) > 0) {
       replies.clear();
       // One clock read per drained burst: every reply in the burst carries
@@ -367,20 +374,13 @@ void ServerNode::publish_loop() {
     announcement.ttl_ms = static_cast<std::uint32_t>(to_ms(publish_ttl_));
     payloads.push_back(announcement.encode());
   }
-  while (running_.load(std::memory_order_relaxed)) {
+  for (;;) {
     for (const net::Address& directory : directories_) {
       for (const auto& payload : payloads) {
         publish_socket.send_to(payload, directory);
       }
     }
-    // Wake periodically so stop() is honoured promptly even with long
-    // publish intervals.
-    const SimTime until = net::monotonic_now() + publish_interval_;
-    while (running_.load(std::memory_order_relaxed) &&
-           net::monotonic_now() < until) {
-      net::sleep_for(std::min<SimDuration>(publish_interval_,
-                                           20 * kMillisecond));
-    }
+    if (stop_.sleep_until(net::monotonic_now() + publish_interval_)) return;
   }
 }
 
@@ -388,7 +388,7 @@ void ServerNode::broadcast_loop() {
   net::UdpSocket broadcast_socket;
   Rng rng(options_.seed * 40503u + 271);
   const auto mean = static_cast<double>(broadcast_interval_);
-  while (running_.load(std::memory_order_relaxed)) {
+  for (;;) {
     net::LoadAnnounce announcement;
     announcement.server = options_.id;
     announcement.queue_length = qlen_.load(std::memory_order_relaxed);
@@ -399,13 +399,7 @@ void ServerNode::broadcast_loop() {
         broadcast_jitter_
             ? static_cast<SimDuration>(rng.uniform(0.5 * mean, 1.5 * mean))
             : broadcast_interval_;
-    // Sleep in slices so stop() is honoured promptly at long intervals.
-    const SimTime until = net::monotonic_now() + interval;
-    while (running_.load(std::memory_order_relaxed) &&
-           net::monotonic_now() < until) {
-      net::sleep_for(std::min<SimDuration>(until - net::monotonic_now(),
-                                           20 * kMillisecond));
-    }
+    if (stop_.sleep_until(net::monotonic_now() + interval)) return;
   }
 }
 

@@ -49,6 +49,7 @@
 #include "fault/fault.h"
 #include "net/message.h"
 #include "net/socket.h"
+#include "net/stop_signal.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -115,6 +116,8 @@ class ServerNode {
   void start();
 
   /// Stops all threads and closes the queue; joins before returning.
+  /// Every loop wakes on the node's stop signal, so this takes as long as
+  /// the in-flight request, not a poll slice.
   void stop();
 
   /// Begins periodic soft-state announcements to the availability channel:
@@ -179,6 +182,7 @@ class ServerNode {
 
   bool started_ = false;  // single-shot lifecycle: start() once, ever
   std::atomic<bool> running_{false};
+  net::StopSignal stop_;  // wakes the receive, publish and broadcast loops
   std::atomic<std::int32_t> qlen_{0};
   std::atomic<std::int64_t> served_{0};
   std::atomic<std::int64_t> inquiries_{0};

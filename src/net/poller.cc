@@ -5,6 +5,7 @@
 #include <ctime>
 
 #include "common/check.h"
+#include "net/clock.h"
 
 namespace finelb::net {
 
@@ -58,6 +59,11 @@ std::span<const Ready> Poller::wait(SimDuration timeout) {
     fds_[i].revents = 0;
   }
   return ready_;
+}
+
+std::span<const Ready> Poller::wait_until(std::optional<SimTime> deadline) {
+  if (!deadline) return wait(-1);
+  return wait(std::max<SimDuration>(*deadline - monotonic_now(), 0));
 }
 
 }  // namespace finelb::net

@@ -12,6 +12,7 @@
 #include <poll.h>
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -40,6 +41,10 @@ class Poller {
   /// an internal buffer reused across calls — consume it before the next
   /// wait() — so steady-state event loops never allocate here.
   std::span<const Ready> wait(SimDuration timeout);
+
+  /// As wait(), up to the absolute CLOCK_MONOTONIC `deadline` (at once if
+  /// it has passed); nullopt blocks until an fd is ready.
+  std::span<const Ready> wait_until(std::optional<SimTime> deadline);
 
  private:
   std::vector<pollfd> fds_;

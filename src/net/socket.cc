@@ -6,12 +6,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/log.h"
 #include "net/clock.h"
 
 namespace finelb::net {
@@ -498,13 +500,41 @@ std::optional<Datagram> UdpSocket::faulty_recv(std::span<std::uint8_t> buffer,
   }
 }
 
-void UdpSocket::set_buffer_sizes(int bytes) {
+int UdpSocket::set_buffer_sizes(int bytes) {
   if (::setsockopt(fd(), SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes)) != 0) {
     FINELB_THROW_ERRNO("setsockopt(SO_RCVBUF)");
   }
   if (::setsockopt(fd(), SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)) != 0) {
     FINELB_THROW_ERRNO("setsockopt(SO_SNDBUF)");
   }
+  int granted = 0;
+  socklen_t len = sizeof(granted);
+  if (::getsockopt(fd(), SOL_SOCKET, SO_RCVBUF, &granted, &len) != 0) {
+    FINELB_THROW_ERRNO("getsockopt(SO_RCVBUF)");
+  }
+  static std::atomic<bool> warned{false};
+  if (granted < bytes / 2 && !warned.exchange(true)) {
+    FINELB_LOG(kWarn, "net")
+        << "asked for a " << bytes << "-byte UDP receive buffer, the kernel "
+        << "granted " << granted << " (net.core.rmem_max caps it); bursts "
+        << "may overflow and drop datagrams";
+  }
+  return granted;
+}
+
+std::optional<SimTime> UdpSocket::next_held_due() const {
+  // A detached injector no longer routes recv/send through the held
+  // queues, so their leftovers would never move.
+  if (!injector_ || !fault_state_) return std::nullopt;
+  std::lock_guard<std::mutex> lock(fault_state_->mutex);
+  std::optional<SimTime> due;
+  for (const auto& d : fault_state_->ingress) {
+    if (!due || d.due < *due) due = d.due;
+  }
+  for (const auto& d : fault_state_->egress) {
+    if (!due || d.due < *due) due = d.due;
+  }
+  return due;
 }
 
 }  // namespace finelb::net

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/time.h"
 #include "fault/fault.h"
 
 namespace finelb::net {
@@ -160,8 +161,18 @@ class UdpSocket {
 
   /// Enlarges kernel buffers; the experiment harness drives thousands of
   /// datagrams per second through loopback and the 212 kB default is easy
-  /// to overflow on a busy box.
-  void set_buffer_sizes(int bytes);
+  /// to overflow on a busy box. Returns the receive buffer the kernel
+  /// granted (SO_RCVBUF read back; Linux reports twice the usable bytes).
+  /// The kernel silently caps unprivileged requests at net.core.rmem_max,
+  /// so a grant under half the request logs one warning per process.
+  int set_buffer_sizes(int bytes);
+
+  /// Earliest instant a datagram held back by the fault injector falls due
+  /// (delayed ingress to surface, or delayed egress to flush); nullopt when
+  /// none is pending or no injector is attached. Held datagrams move only
+  /// when the socket is touched, so a loop that otherwise blocks without a
+  /// timeout bounds its wait by this.
+  std::optional<SimTime> next_held_due() const;
 
   /// Attaches a fault injector: every subsequent send*/recv* consults it and
   /// may drop, duplicate, or delay the datagram (fault/fault.h). Delayed

@@ -1,10 +1,19 @@
 #include "telemetry/export.h"
 
-#include <chrono>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cinttypes>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
+
+#include "common/check.h"
+#include "net/clock.h"
+#include "net/poller.h"
 
 namespace finelb::telemetry {
 
@@ -323,21 +332,48 @@ std::string cluster_to_json(const std::vector<std::string>& node_documents) {
 namespace {
 
 // Async-signal-safety contract (audited): the handler may only touch
-// `g_dump_requested`, a lock-free atomic flag. No allocation, no locks, no
-// stdio — all formatting and writing happens later on the reporter thread
-// that polls consume_dump_request(). Keep it that way: any malloc or mutex
-// in here can deadlock if the signal lands inside the allocator.
+// `g_dump_requested`, a lock-free atomic flag, and write(2) the eventfd in
+// `g_dump_wake_fd`. No allocation, no locks, no stdio — all formatting and
+// writing happens later on the reporter thread, which the eventfd wakes.
+// Keep it that way: any malloc or mutex in here can deadlock if the signal
+// lands inside the allocator.
 std::atomic<bool> g_dump_requested{false};
-static_assert(std::atomic<bool>::is_always_lock_free,
-              "SIGUSR1 handler requires a lock-free flag");
+std::atomic<int> g_dump_wake_fd{-1};
+static_assert(std::atomic<bool>::is_always_lock_free &&
+                  std::atomic<int>::is_always_lock_free,
+              "SIGUSR1 handler requires lock-free atomics");
+
+/// The eventfd a dump request makes readable, created on first use from
+/// ordinary code (never from the handler, which only reads g_dump_wake_fd).
+int dump_wake_fd() {
+  static const int fd = [] {
+    const int created = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (created < 0) FINELB_THROW_ERRNO("eventfd");
+    g_dump_wake_fd.store(created, std::memory_order_release);
+    return created;
+  }();
+  return fd;
+}
+
+void wake_dump_waiters() {
+  const int fd = g_dump_wake_fd.load(std::memory_order_acquire);
+  if (fd < 0) return;
+  const int saved_errno = errno;  // the interrupted code may read errno
+  const std::uint64_t one = 1;
+  // A full counter (EAGAIN) already means "readable"; nothing to handle.
+  [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof(one));
+  errno = saved_errno;
+}
 
 void sigusr1_handler(int) {
   g_dump_requested.store(true, std::memory_order_relaxed);
+  wake_dump_waiters();
 }
 
 }  // namespace
 
 void install_sigusr1_dump_handler() {
+  dump_wake_fd();  // exists before the first signal can land
 #if defined(__unix__) || defined(__APPLE__)
   // sigaction with SA_RESTART: a dump request must not surface as EINTR in
   // the runtime's blocking recv/poll loops.
@@ -352,10 +388,19 @@ void install_sigusr1_dump_handler() {
 }
 
 void trigger_stats_dump() {
+  dump_wake_fd();
   g_dump_requested.store(true, std::memory_order_relaxed);
+  wake_dump_waiters();
 }
 
 bool consume_dump_request() {
+  // Clear the wake-up before the flag: a request landing in between leaves
+  // the eventfd readable again, so the next wait returns at once.
+  if (const int fd = g_dump_wake_fd.load(std::memory_order_acquire);
+      fd >= 0) {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t n = ::read(fd, &count, sizeof(count));
+  }
   return g_dump_requested.exchange(false, std::memory_order_relaxed);
 }
 
@@ -369,21 +414,23 @@ StderrReporter::~StderrReporter() { stop(); }
 
 void StderrReporter::stop() {
   if (!running_.exchange(false)) return;
+  stop_.notify();
   if (thread_.joinable()) thread_.join();
 }
 
 void StderrReporter::run() {
-  using Clock = std::chrono::steady_clock;
-  auto last = Clock::now();
+  net::Poller poller;
+  poller.add(stop_.fd(), 0);
+  poller.add(dump_wake_fd(), 1);
+  std::optional<SimTime> next_report;
+  if (period_ > 0) next_report = net::monotonic_now() + period_;
   while (running_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Until the next period, a dump request, or stop().
+    poller.wait_until(next_report);
     bool due = consume_dump_request();
-    if (period_ > 0) {
-      const auto now = Clock::now();
-      if (now - last >= std::chrono::nanoseconds(period_)) {
-        last = now;
-        due = true;
-      }
+    if (next_report && net::monotonic_now() >= *next_report) {
+      next_report = net::monotonic_now() + period_;
+      due = true;
     }
     if (due) {
       const std::string report = collect_();

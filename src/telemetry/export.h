@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/time.h"
+#include "net/stop_signal.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -47,8 +48,9 @@ std::string cluster_to_prometheus(const std::vector<MetricsSnapshot>& nodes);
 std::string cluster_to_json(const std::vector<std::string>& node_documents);
 
 /// Installs a SIGUSR1 handler that requests a stats dump. The handler only
-/// sets an atomic flag (async-signal-safe); a StderrReporter — or any loop
-/// calling consume_dump_request() — performs the actual dump.
+/// sets an atomic flag and writes a process-wide eventfd (both
+/// async-signal-safe); a StderrReporter, woken by that eventfd — or any
+/// loop calling consume_dump_request() — performs the actual dump.
 void install_sigusr1_dump_handler();
 
 /// Requests a dump as if SIGUSR1 had arrived (used by tests).
@@ -61,6 +63,8 @@ bool consume_dump_request();
 /// (0 disables the periodic channel) and whenever a dump was requested via
 /// SIGUSR1 / trigger_stats_dump(). `collect` runs on the reporter thread
 /// and must be safe to call concurrently with the instrumented workload.
+/// The thread sleeps until the next period, a dump request or stop(); it
+/// has no polling slice.
 class StderrReporter {
  public:
   using Collect = std::function<std::string()>;
@@ -79,6 +83,7 @@ class StderrReporter {
   Collect collect_;
   SimDuration period_;
   std::atomic<bool> running_{false};
+  net::StopSignal stop_;
   std::thread thread_;
 };
 

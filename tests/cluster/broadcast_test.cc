@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <vector>
 
 #include "cluster/experiment.h"
 #include "common/check.h"
@@ -144,6 +146,21 @@ TEST(BroadcastPolicyPrototypeTest, FreshBeatsStaleInformation) {
   const double stale_ms =
       run_prototype(config, workload).clients.response_ms.mean();
   EXPECT_GT(stale_ms, fresh_ms * 1.5);
+}
+
+// The relay loop blocks on its socket and the stop signal, with no poll
+// timeout for stop() to wait out.
+TEST(BroadcastChannelTest, SequentialStopsArePrompt) {
+  std::vector<std::unique_ptr<BroadcastChannel>> channels;
+  for (int i = 0; i < 8; ++i) {
+    channels.push_back(std::make_unique<BroadcastChannel>());
+    channels.back()->start();
+  }
+  net::sleep_for(60 * kMillisecond);
+  const SimTime start = net::monotonic_now();
+  for (auto& channel : channels) channel->stop();
+  const SimDuration took = net::monotonic_now() - start;
+  EXPECT_LT(took, 50 * kMillisecond) << to_ms(took) << " ms for 8 stops";
 }
 
 }  // namespace

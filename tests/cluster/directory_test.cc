@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -316,6 +317,21 @@ TEST(DirectoryTest, WaitForServersReturnsPartialAfterDeadline) {
       client.wait_for_servers("search", 5, 300 * kMillisecond);
   EXPECT_EQ(endpoints.size(), 1u);
   directory.stop();
+}
+
+// The receive loop blocks on its socket and the stop signal, with no poll
+// timeout for stop() to wait out.
+TEST(DirectoryTest, SequentialStopsArePrompt) {
+  std::vector<std::unique_ptr<DirectoryServer>> directories;
+  for (int i = 0; i < 8; ++i) {
+    directories.push_back(std::make_unique<DirectoryServer>());
+    directories.back()->start();
+  }
+  net::sleep_for(60 * kMillisecond);
+  const SimTime start = net::monotonic_now();
+  for (auto& directory : directories) directory->stop();
+  const SimDuration took = net::monotonic_now() - start;
+  EXPECT_LT(took, 50 * kMillisecond) << to_ms(took) << " ms for 8 stops";
 }
 
 }  // namespace

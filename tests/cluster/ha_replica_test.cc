@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,6 +193,24 @@ TEST(HaReplicaTest, ElectsLeaderUnderControlPlaneLoss) {
   };
   HaDirectoryCluster cluster(3, config, faults);
   EXPECT_NE(cluster.wait_for_leader(10 * kSecond), -1);
+}
+
+// A replica keeps its poll slice for heartbeats and elections; stop() must
+// not wait it out. Slow timers make the difference visible: a 400 ms
+// heartbeat gives a 100 ms slice per replica.
+TEST(HaReplicaTest, ClusterTearDownIsPrompt) {
+  HaReplicaConfig config;
+  config.heartbeat_interval = 400 * kMillisecond;
+  config.election_timeout_min = 1600 * kMillisecond;
+  config.election_timeout_max = 3200 * kMillisecond;
+  config.leader_lease = 1200 * kMillisecond;
+  config.seed = 7;
+  auto cluster = std::make_unique<HaDirectoryCluster>(3, config);
+  net::sleep_for(60 * kMillisecond);
+  const SimTime start = net::monotonic_now();
+  cluster.reset();  // stops every replica in turn
+  const SimDuration took = net::monotonic_now() - start;
+  EXPECT_LT(took, 50 * kMillisecond) << to_ms(took) << " ms for 3 replicas";
 }
 
 }  // namespace

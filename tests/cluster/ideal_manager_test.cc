@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "common/check.h"
 #include "net/clock.h"
@@ -176,6 +178,21 @@ TEST(IdealManagerTest, PartialDropScheduleStillServesSurvivors) {
   EXPECT_LT(answered, 20) << "half-loss schedule should drop some acquires";
   EXPECT_EQ(manager.acquires(), answered);
   manager.stop();
+}
+
+// The receive loop blocks on its socket and the stop signal, with no poll
+// timeout for stop() to wait out.
+TEST(IdealManagerTest, SequentialStopsArePrompt) {
+  std::vector<std::unique_ptr<IdealManager>> managers;
+  for (int i = 0; i < 8; ++i) {
+    managers.push_back(std::make_unique<IdealManager>(4));
+    managers.back()->start();
+  }
+  net::sleep_for(60 * kMillisecond);
+  const SimTime start = net::monotonic_now();
+  for (auto& manager : managers) manager->stop();
+  const SimDuration took = net::monotonic_now() - start;
+  EXPECT_LT(took, 50 * kMillisecond) << to_ms(took) << " ms for 8 stops";
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "cluster/broadcast_channel.h"
+#include "cluster/directory.h"
 #include "common/check.h"
 #include "net/clock.h"
 #include "net/poller.h"
@@ -273,6 +277,34 @@ TEST(ServerNodeTest, WorkerPoolAllowsConcurrentService) {
   // Three 50 ms jobs on three workers: well under the 150 ms serial time.
   EXPECT_LT(elapsed, 120 * kMillisecond);
   server.stop();
+}
+
+// Every loop wakes on the node's stop signal, so stop() costs its thread
+// joins, not a poll timeout or sleep slice per loop; run_prototype stops
+// its 16 servers one after another.
+TEST(ServerNodeTest, SixteenSequentialStopsArePrompt) {
+  DirectoryServer directory;
+  directory.start();
+  BroadcastChannel channel;
+  channel.start();
+  std::vector<std::unique_ptr<ServerNode>> servers;
+  for (int i = 0; i < 16; ++i) {
+    servers.push_back(std::make_unique<ServerNode>(quiet_options(i)));
+    servers.back()->enable_publishing({directory.address()}, "stop-test",
+                                      {0}, 200 * kMillisecond, kSecond);
+    servers.back()->enable_load_broadcast(channel.address(),
+                                          100 * kMillisecond);
+    servers.back()->start();
+  }
+  // Let every loop park in its wait.
+  net::sleep_for(100 * kMillisecond);
+  const SimTime start = net::monotonic_now();
+  for (auto& server : servers) server->stop();
+  const SimDuration took = net::monotonic_now() - start;
+  EXPECT_LT(took, 50 * kMillisecond) << to_ms(took) << " ms for 16 stops";
+  EXPECT_GE(directory.publishes_received(), 16);
+  channel.stop();
+  directory.stop();
 }
 
 }  // namespace

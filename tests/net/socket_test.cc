@@ -1,10 +1,14 @@
 #include "net/socket.h"
 
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -293,6 +297,73 @@ TEST(UdpSocketTest, RecvBatchAppliesFaultsPerDatagram) {
   }
   EXPECT_EQ(injector->counters().decisions, 4);
   EXPECT_EQ(injector->counters().drops, 4);
+}
+
+int so_rcvbuf(const UdpSocket& s) {
+  int bytes = 0;
+  socklen_t len = sizeof(bytes);
+  EXPECT_EQ(::getsockopt(s.fd(), SOL_SOCKET, SO_RCVBUF, &bytes, &len), 0);
+  return bytes;
+}
+
+TEST(UdpSocketTest, SetBufferSizesReportsTheKernelGrant) {
+  UdpSocket s;
+  // A modest request is granted in full; Linux reports twice the usable
+  // size to account for its bookkeeping.
+  const int modest = 64 * 1024;
+  const int granted = s.set_buffer_sizes(modest);
+  EXPECT_EQ(granted, so_rcvbuf(s));
+  EXPECT_GE(granted, modest);
+  // An oversized request is capped by net.core.rmem_max, never an error;
+  // the return value is what the socket really holds.
+  UdpSocket big;
+  const int huge = 1 << 30;
+  testing::internal::CaptureStderr();
+  const int capped = big.set_buffer_sizes(huge);
+  UdpSocket again;
+  again.set_buffer_sizes(huge);
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(capped, so_rcvbuf(big));
+  EXPECT_GT(capped, 0);
+  EXPECT_LE(static_cast<std::int64_t>(capped), std::int64_t{2} * huge);
+  // At most one warning per process, however many sockets fall short.
+  std::size_t warnings = 0;
+  for (std::size_t at = log.find("kernel granted"); at != std::string::npos;
+       at = log.find("kernel granted", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_LE(warnings, 1u);
+}
+
+TEST(UdpSocketTest, NextHeldDueTracksDelayedIngress) {
+  UdpSocket a;
+  UdpSocket b;
+  EXPECT_FALSE(b.next_held_due().has_value()) << "no injector attached";
+  fault::FaultSpec spec;
+  spec.ingress.delay_prob = 1.0;
+  spec.ingress.delay_min = 30 * kMillisecond;
+  spec.ingress.delay_max = 30 * kMillisecond;
+  b.attach_fault_injector(std::make_shared<fault::FaultInjector>(spec));
+  EXPECT_FALSE(b.next_held_due().has_value()) << "nothing held yet";
+
+  const std::array<std::uint8_t, 2> payload = {5, 6};
+  ASSERT_TRUE(a.send_to(payload, b.local_address()));
+  Poller poller;
+  poller.add(b.fd(), 0);
+  ASSERT_FALSE(poller.wait(kSecond).empty());
+  std::array<std::uint8_t, 16> buf{};
+  const SimTime held_at = monotonic_now();
+  EXPECT_FALSE(b.recv_from(buf).has_value()) << "the datagram is held back";
+  const std::optional<SimTime> due = b.next_held_due();
+  ASSERT_TRUE(due.has_value());
+  EXPECT_GE(*due, held_at + 30 * kMillisecond);
+
+  // The kernel queue is empty now: only the due time can wake the owner.
+  EXPECT_TRUE(poller.wait_until(due).empty());
+  const auto dgram = b.recv_from(buf);
+  ASSERT_TRUE(dgram.has_value());
+  EXPECT_EQ(dgram->size, 2u);
+  EXPECT_FALSE(b.next_held_due().has_value());
 }
 
 TEST(PingPongTest, MeasuresPlausibleLoopbackRtt) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,6 +141,23 @@ TEST(ExportTest, StderrReporterPeriodicDumps) {
     }
   }
   EXPECT_GE(collects.load(), 2);
+}
+
+// The reporter sleeps until its next period, a dump request or stop(), so
+// stop() does not wait for a period to end.
+TEST(ExportTest, StderrReporterStopsPromptly) {
+  std::vector<std::unique_ptr<StderrReporter>> reporters;
+  for (int i = 0; i < 16; ++i) {
+    reporters.push_back(std::make_unique<StderrReporter>(
+        [] { return std::string(); }, /*period=*/10 * kSecond));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  const auto start = std::chrono::steady_clock::now();
+  for (auto& reporter : reporters) reporter->stop();
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took, std::chrono::milliseconds(50))
+      << std::chrono::duration<double, std::milli>(took).count()
+      << " ms for 16 stops";
 }
 
 }  // namespace
