@@ -3,7 +3,9 @@
 #   1. tier-1 verify  — shutdown-polling lint (no loop in src/cluster or
 #                       src/telemetry may wait on a timeout only to notice
 #                       stop(); they wake on net::StopSignal), then the
-#                       default build and the entire ctest suite;
+#                       default build, a label check (ctest -L '^ha$' and
+#                       -L '^trace$' must list HaReplicaTest and
+#                       TraceRingTest cases), and the entire ctest suite;
 #   1b. benchmark build — configures and builds perfbench/ (the benchmark
 #                       BENCHMARK.json declares), which compiles src/
 #                       directly: a src/ change that breaks a name the
@@ -73,6 +75,16 @@ if [[ -n "${found}" ]]; then
   exit 1
 fi
 configure_and_build "${build_root}/default"
+# A test with several labels must keep each of them: the sanitizer stages
+# select by -L, and a dropped label silently drops its tests there.
+for check in '^ha$ HaReplicaTest' '^trace$ TraceRingTest'; do
+  read -r label suite <<<"${check}"
+  listed="$(ctest --test-dir "${build_root}/default" -N -L "${label}")"
+  if ! grep -q " ${suite}\." <<<"${listed}"; then
+    echo "ctest -L '${label}' lists no ${suite} case: a test label was lost"
+    exit 1
+  fi
+done
 ctest --test-dir "${build_root}/default" -j"${jobs}" --output-on-failure
 
 stage "benchmark build: perfbench against the current src/"

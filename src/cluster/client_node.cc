@@ -74,6 +74,9 @@ ClientNode::ClientNode(ClientOptions options,
       source_(std::move(source)),
       rng_(options_.seed),
       polls_(options_.policy, options_.max_poll_wait),
+      availability_({.refresh_period = options_.mapping_refresh,
+                     .blacklist_cooldown = options_.blacklist_cooldown,
+                     .blacklist_after = options_.blacklist_after}),
       trace_(options_.trace_capacity == 0 ? 1 : options_.trace_capacity,
              options_.trace_sample_period),
       decision_ring_(
@@ -112,13 +115,6 @@ ClientNode::ClientNode(ClientOptions options,
     return m_in_flight_.load(std::memory_order_relaxed);
   });
 
-  server_ids_.reserve(options_.servers.size());
-  for (const auto& server : options_.servers) {
-    server_ids_.push_back(server.id);
-  }
-  endpoint_live_.assign(options_.servers.size(), 1);
-  consecutive_timeouts_.assign(options_.servers.size(), 0);
-
   service_socket_.set_buffer_sizes(1 << 21);
   service_socket_.attach_fault_injector(options_.fault);
   poller_.add(service_socket_.fd(), kServiceTag);
@@ -133,16 +129,13 @@ ClientNode::ClientNode(ClientOptions options,
     poll_sockets_.back().connect(options_.servers[i].load_addr);
     poll_sockets_.back().attach_fault_injector(options_.fault);
     poller_.add(poll_sockets_.back().fd(), kPollTagBase + i);
+    all_endpoints_.push_back(static_cast<ServerId>(i));
   }
 
-  if ((options_.directory || !options_.directory_replicas.empty()) &&
-      options_.mapping_refresh > 0) {
-    std::vector<net::Address> replicas = options_.directory_replicas;
-    if (replicas.empty()) replicas.push_back(*options_.directory);
-    directory_client_ = std::make_unique<DirectoryClient>(
-        std::move(replicas), options_.seed + 77);
+  if (!options_.directory.empty() && options_.mapping_refresh > 0) {
+    directory_client_ = std::make_unique<DirectoryClient>(options_.directory,
+                                                          options_.seed + 77);
     directory_client_->attach_fault_injector(options_.fault);
-    mapping_refresh_interval_ = options_.mapping_refresh;
   }
 
   if (options_.ideal_manager) {
@@ -176,14 +169,13 @@ void ClientNode::run() {
   TraceRecord pending = source_->next();
   run_started_at_ = net::monotonic_now();
   SimTime next_arrival = run_started_at_ + pending.arrival_interval;
-  next_mapping_refresh_ = run_started_at_ + mapping_refresh_interval_;
 
   while (resolved_ < options_.total_requests) {
     SimTime now = net::monotonic_now();
 
     // Re-pull the service mapping so endpoints whose soft state expired
     // stop receiving work (failure hardening; off unless configured).
-    if (directory_client_ && now >= next_mapping_refresh_) {
+    if (directory_client_ && availability_.refresh_due(now)) {
       refresh_mapping(now);
       now = net::monotonic_now();
     }
@@ -238,75 +230,45 @@ void ClientNode::run() {
         drain_poll_socket(static_cast<std::size_t>(ready.tag - kPollTagBase));
       }
     }
+    sync_availability_stats();
   }
 }
 
 void ClientNode::refresh_mapping(SimTime now) {
-  ++stats_.mapping_refreshes;
-  // Non-throwing fetch: a refresh that straddles a directory election (or
-  // outage) must degrade to the stale-but-recent mapping we already hold,
-  // not tear down the whole client.
-  auto fetched = directory_client_->try_fetch(options_.directory_service,
-                                              /*timeout=*/200 * kMillisecond);
-  if (!fetched) {
-    ++stats_.refresh_failures;
-    // Directory outage: back off (with jitter) instead of hammering it —
-    // doubled interval, capped at 8x the configured period.
-    mapping_refresh_interval_ = std::min<SimDuration>(
-        mapping_refresh_interval_ * 2, options_.mapping_refresh * 8);
-  } else {
-    const std::vector<ServiceEndpoint>& snapshot = *fetched;
-    mapping_refresh_interval_ = options_.mapping_refresh;
-    std::fill(endpoint_live_.begin(), endpoint_live_.end(), 0);
-    for (const auto& entry : snapshot) {
-      for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-        if (options_.servers[i].id == entry.server) {
-          endpoint_live_[i] = 1;
-          break;
-        }
+  // Non-throwing fetch: a refresh straddling a directory election or outage
+  // keeps the mapping we hold instead of tearing down the whole client.
+  const auto fetched = directory_client_->try_fetch(
+      options_.directory_service, /*timeout=*/200 * kMillisecond);
+  if (fetched) {
+    live_scratch_.clear();
+    for (const ServiceEndpoint& entry : *fetched) {
+      const std::size_t i = endpoint_index(entry.server);
+      if (i < options_.servers.size()) {
+        live_scratch_.push_back(static_cast<ServerId>(i));
       }
     }
-    // An empty snapshot means the directory lost *all* soft state (e.g. it
-    // restarted); treat everyone as live rather than dispatching nowhere.
-    bool any = false;
-    for (const std::uint8_t live : endpoint_live_) any |= live != 0;
-    if (!any) std::fill(endpoint_live_.begin(), endpoint_live_.end(), 1);
+    availability_.on_fetch(live_scratch_, now, rng_);
+  } else {
+    availability_.on_fetch_failed(now, rng_);
   }
   stats_.snapshot_retries = directory_client_->snapshot_retries();
   stats_.directory_failovers = directory_client_->failovers();
   stats_.directory_redirects = directory_client_->redirects_followed();
-  const double jitter = rng_.uniform(0.75, 1.25);
-  next_mapping_refresh_ =
-      now + static_cast<SimDuration>(
-                static_cast<double>(mapping_refresh_interval_) * jitter);
 }
 
-std::span<const ServerId> ClientNode::candidate_indices(SimTime now) {
-  std::vector<ServerId>& live = candidate_scratch_;
-  live.clear();
+void ClientNode::sync_availability_stats() {
+  const core::AvailabilityCounters& counters = availability_.counters();
+  m_blacklist_insertions_.add(counters.blacklist_insertions -
+                              stats_.blacklist_insertions);
+  m_blacklist_hits_.add(counters.blacklist_hits - stats_.blacklist_hits);
+  static_cast<core::AvailabilityCounters&>(stats_) = counters;
+}
+
+std::size_t ClientNode::endpoint_index(ServerId id) const {
   for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-    if (endpoint_live_[i]) live.push_back(static_cast<ServerId>(i));
+    if (options_.servers[i].id == id) return i;
   }
-  if (live.empty()) {
-    for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-      live.push_back(static_cast<ServerId>(i));
-    }
-  }
-  if (options_.blacklist_cooldown > 0) {
-    const std::int64_t hits_before = blacklist_.hits();
-    blacklist_.filter_in_place(live, now);
-    bump(stats_.blacklist_hits, m_blacklist_hits_,
-         blacklist_.hits() - hits_before);
-  }
-  return live;
-}
-
-void ClientNode::mark_failed(std::size_t server_index, SimTime now) {
-  if (options_.blacklist_cooldown <= 0) return;
-  if (++consecutive_timeouts_[server_index] >= options_.blacklist_after) {
-    blacklist_.add(server_index, now + options_.blacklist_cooldown);
-    bump(stats_.blacklist_insertions, m_blacklist_insertions_);
-  }
+  return options_.servers.size();
 }
 
 void ClientNode::record_outcome(SimTime now, bool completed,
@@ -331,22 +293,13 @@ void ClientNode::begin_access(const Access& access) {
                   access.started_at, access.service_us);
   }
   switch (options_.policy.kind) {
-    case PolicyKind::kRandom: {
-      const auto candidates = candidate_indices(access.started_at);
-      dispatch(access, static_cast<std::size_t>(
-                           pick_random(candidates, rng_)));
+    case PolicyKind::kRandom:
+      dispatch(access, random_candidate(access.started_at));
       break;
-    }
-    case PolicyKind::kRoundRobin: {
-      const ServerId id = rr_.next(server_ids_);
-      for (std::size_t i = 0; i < server_ids_.size(); ++i) {
-        if (server_ids_[i] == id) {
-          dispatch(access, i);
-          break;
-        }
-      }
+    case PolicyKind::kRoundRobin:
+      dispatch(access, static_cast<std::size_t>(rr_.next(
+                           candidates(access.started_at).servers)));
       break;
-    }
     case PolicyKind::kPolling:
       start_poll_round(access);
       break;
@@ -358,7 +311,7 @@ void ClientNode::begin_access(const Access& access) {
                       [&](auto p) { return manager_socket_->send(p); })) {
         bump(stats_.send_failures, m_send_failures_);
         ++stats_.manager_timeouts;
-        dispatch(access, rng_.uniform_int(options_.servers.size()));
+        dispatch(access, random_candidate(access.started_at));
         return;
       }
       ManagerRound round;
@@ -388,7 +341,7 @@ void ClientNode::start_poll_round(const Access& access) {
   // Choose poll targets as indices into the endpoint table, restricted to
   // endpoints currently believed live (mapping + blacklist).
   core::PollRound& round = polls_.begin(
-      seq, candidate_indices(access.started_at),
+      seq, candidates(access.started_at).servers,
       static_cast<std::size_t>(options_.policy.poll_size), access.started_at,
       rng_);
 
@@ -446,10 +399,10 @@ void ClientNode::finish_poll_round(std::size_t index) {
   // Built only when no reply arrived, the one case a blind pick can occur.
   std::span<const ServerId> fallback;
   if (round.replies().empty()) {
-    const std::int64_t hits_before = blacklist_.hits();
-    fallback = candidate_indices(now);
-    ctx.blacklist_filtered = static_cast<std::uint8_t>(
-        std::clamp<std::int64_t>(blacklist_.hits() - hits_before, 0, 255));
+    const core::CandidateView view = candidates(now);
+    fallback = view.servers;
+    ctx.blacklist_filtered =
+        static_cast<std::uint8_t>(std::min<std::size_t>(view.filtered, 255));
   }
   // Replies carry endpoint *indices* (see drain_poll_socket), so the
   // decision is directly usable.
@@ -547,7 +500,7 @@ void ClientNode::drain_service_socket() {
                       response.queue_at_arrival);
       }
       record_outcome(now, /*completed=*/true, rt_ms);
-      consecutive_timeouts_[out.server_index] = 0;
+      availability_.on_success(static_cast<ServerId>(out.server_index));
       bump(stats_.completed, m_completed_);
       ++resolved_;
       m_in_flight_.fetch_sub(1, std::memory_order_relaxed);
@@ -617,18 +570,11 @@ void ClientNode::drain_manager_socket() {
     const Access access = manager_rounds_[idx].access;
     manager_rounds_[idx] = manager_rounds_.back();
     manager_rounds_.pop_back();
-    // Map the manager's server id back to an endpoint index.
-    std::size_t index = options_.servers.size();
-    for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-      if (options_.servers[i].id == reply.server) {
-        index = i;
-        break;
-      }
-    }
+    std::size_t index = endpoint_index(reply.server);
     if (index == options_.servers.size()) {
       FINELB_LOG(kWarn, "client") << "manager chose unknown server "
                                   << reply.server;
-      index = rng_.uniform_int(options_.servers.size());
+      index = random_candidate(net::monotonic_now());
     }
     if (should_record(access)) {
       record(stats_.poll_time_ms, m_poll_time_ms_,
@@ -646,15 +592,12 @@ void ClientNode::drain_broadcast_socket() {
                                        announcement)) {
       continue;
     }
-    for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-      if (options_.servers[i].id == announcement.server) {
-        broadcast_table_->store(i, {static_cast<ServerId>(i),
-                                    announcement.queue_length,
-                                    net::monotonic_now()});
-        ++stats_.broadcasts_received;
-        break;
-      }
-    }
+    const std::size_t i = endpoint_index(announcement.server);
+    if (i == options_.servers.size()) continue;
+    broadcast_table_->store(i, {static_cast<ServerId>(i),
+                                announcement.queue_length,
+                                net::monotonic_now()});
+    ++stats_.broadcasts_received;
   }
 }
 
@@ -736,7 +679,7 @@ void ClientNode::fire_deadlines(SimTime now) {
       manager_rounds_[i] = manager_rounds_.back();
       manager_rounds_.pop_back();
       ++stats_.manager_timeouts;
-      dispatch(access, rng_.uniform_int(options_.servers.size()));
+      dispatch(access, random_candidate(now));
     } else {
       ++i;
     }
@@ -752,7 +695,7 @@ void ClientNode::fire_deadlines(SimTime now) {
       outstanding_[i] = outstanding_.back();
       outstanding_.pop_back();
       if (manager_acquired) release_manager_slot(server_index);
-      mark_failed(server_index, now);
+      availability_.on_timeout(static_cast<ServerId>(server_index), now);
       if (access.attempt < options_.max_access_retries) {
         // Re-dispatch to a fresh candidate (the failing server was just
         // blacklisted). started_at is kept, so a retried access's response
@@ -762,8 +705,7 @@ void ClientNode::fire_deadlines(SimTime now) {
         // future deadline, so this scan skips it if it swaps into reach.
         ++access.attempt;
         ++stats_.access_retries;
-        dispatch(access, static_cast<std::size_t>(
-                             pick_random(candidate_indices(now), rng_)));
+        dispatch(access, random_candidate(now));
       } else {
         record_outcome(now, /*completed=*/false, 0.0);
         bump(stats_.response_timeouts, m_response_timeouts_);

@@ -36,6 +36,7 @@
 
 #include "cluster/directory.h"
 #include "common/rng.h"
+#include "core/availability.h"
 #include "core/load_cache.h"
 #include "core/policy.h"
 #include "core/poll_round.h"
@@ -84,25 +85,17 @@ struct ClientOptions {
   /// Fault injector attached to every socket this client owns (loss/dup/
   /// delay per fault/fault.h). Null = no injection.
   std::shared_ptr<fault::FaultInjector> fault;
-  /// A server whose access times out is excluded from candidate sets for
-  /// this long (0 disables). Keeps poll rounds and requests away from dead
-  /// nodes while the directory's soft-state TTL catches up.
+  /// `blacklist_after` response timeouts in a row keep a server out of
+  /// candidate sets for `blacklist_cooldown` (0 disables), away from dead
+  /// nodes while the directory's soft-state TTL catches up
+  /// (core::AvailabilityConfig).
   SimDuration blacklist_cooldown = 0;
-  /// Consecutive response timeouts from one server before it is
-  /// blacklisted. 1 = first strike. Under ambient message loss a single
-  /// timeout is weak evidence (a dead server fails every access, a lossy
-  /// link only a fraction), so raising this keeps the blacklist from
-  /// thrashing on healthy servers.
   int blacklist_after = 1;
-  /// When set, the client re-fetches the service mapping from this
-  /// directory every `mapping_refresh`, and marks endpoints missing from
-  /// the snapshot unavailable — how a killed server's expired entry makes
-  /// subsequent polls route around it mid-run.
-  std::optional<net::Address> directory;
-  /// Replicated-directory form: every replica's data address. Takes
-  /// precedence over `directory` when non-empty; the client fails over
-  /// between replicas and follows leader redirects (cluster/ha/).
-  std::vector<net::Address> directory_replicas;
+  /// The directory's replica addresses (one unless replicated: cluster/ha/)
+  /// from which the client re-fetches the service mapping every
+  /// `mapping_refresh`, marking endpoints missing from the snapshot
+  /// unavailable, so work routes around a killed server mid-run.
+  std::vector<net::Address> directory;
   std::string directory_service;
   SimDuration mapping_refresh = 0;
   /// Bucket width for the per-client completion/failure timeline used by
@@ -136,7 +129,8 @@ struct ClientOptions {
   std::uint64_t seed = 1;
 };
 
-struct ClientStats {
+/// The availability counters are counted once, in core::Availability.
+struct ClientStats : core::AvailabilityCounters {
   Accumulator response_ms;
   LatencyHistogram response_hist_ms;
   /// Time from access start to dispatch (load-information acquisition).
@@ -161,10 +155,6 @@ struct ClientStats {
   // Failure-hardening counters (see ClientOptions).
   std::int64_t fallback_dispatches = 0;  // poll rounds decided blind
   std::int64_t access_retries = 0;       // timed-out accesses re-dispatched
-  std::int64_t blacklist_insertions = 0;
-  std::int64_t blacklist_hits = 0;  // candidates excluded by cooldown
-  std::int64_t mapping_refreshes = 0;
-  std::int64_t refresh_failures = 0;
   std::int64_t snapshot_retries = 0;  // directory retransmits (backoff)
   std::int64_t directory_failovers = 0;   // replica rotations on timeout
   std::int64_t directory_redirects = 0;   // leader redirects followed
@@ -274,16 +264,23 @@ class ClientNode {
     return (static_cast<std::uint64_t>(options_.id) << 40) |
            static_cast<std::uint64_t>(index);
   }
-  /// Endpoint indices usable for new work: mapping-live minus blacklisted,
-  /// falling back to every endpoint when that leaves nothing. The span
-  /// views candidate_scratch_, valid until the next call.
-  std::span<const ServerId> candidate_indices(SimTime now);
+  /// Endpoint indices usable for new work (core::Availability::filter).
+  core::CandidateView candidates(SimTime now) {
+    return availability_.filter(all_endpoints_, now);
+  }
+  /// A uniformly random endpoint index from the candidate view.
+  std::size_t random_candidate(SimTime now) {
+    return static_cast<std::size_t>(pick_random(candidates(now).servers, rng_));
+  }
+  /// Index of the endpoint with directory id `id`; servers.size() if none.
+  std::size_t endpoint_index(ServerId id) const;
   void refresh_mapping(SimTime now);
+  /// Copies availability_'s counters into stats_ and their mirrors.
+  void sync_availability_stats();
   void record_outcome(SimTime now, bool completed, double response_ms);
-  void mark_failed(std::size_t server_index, SimTime now);
 
-  // Every ClientStats field with a registry mirror changes only through
-  // these two, so the record and its mirror cannot diverge.
+  // Every other ClientStats field with a registry mirror changes only
+  // through these two, so the record and its mirror cannot diverge.
   static void bump(std::int64_t& stat, const telemetry::Counter& mirror,
                    std::int64_t n = 1) {
     stat += n;
@@ -300,7 +297,7 @@ class ClientNode {
   std::unique_ptr<RequestSource> source_;
   Rng rng_;
   RoundRobinCursor rr_;
-  std::vector<ServerId> server_ids_;
+  std::vector<ServerId> all_endpoints_;  // 0..servers.size()-1
 
   net::UdpSocket service_socket_;
   std::vector<net::UdpSocket> poll_sockets_;  // one per server, connected
@@ -323,17 +320,13 @@ class ClientNode {
   std::uint64_t next_seq_ = 1;
   std::int64_t resolved_ = 0;
 
-  // Reused scratch (see candidate_indices / the broadcast dispatch path).
-  std::vector<ServerId> candidate_scratch_;
+  // Reused scratch (the mapping refresh / the broadcast dispatch path).
+  std::vector<ServerId> live_scratch_;
   std::vector<ServerLoad> load_scratch_;
 
   // Failure hardening (see ClientOptions).
-  Blacklist blacklist_;
-  std::vector<int> consecutive_timeouts_;  // per endpoint index
+  core::Availability availability_;  // keyed by endpoint index
   std::unique_ptr<DirectoryClient> directory_client_;
-  std::vector<std::uint8_t> endpoint_live_;  // per endpoint index
-  SimTime next_mapping_refresh_ = 0;
-  SimDuration mapping_refresh_interval_ = 0;  // backs off on failure
   SimTime run_started_at_ = 0;
 
   ClientStats stats_;

@@ -200,12 +200,9 @@ PrototypeResult run_prototype(const PrototypeConfig& config,
     opts.max_access_retries = config.max_access_retries;
     opts.trace_sample_period = config.trace_sample_period;
     opts.decision_sample_period = config.decision_sample_period;
-    if (!directory_addrs.empty() && config.client_mapping_refresh > 0) {
-      opts.directory = directory_addrs.front();
-      opts.directory_replicas = directory_addrs;
-      opts.directory_service = kExperimentService;
-      opts.mapping_refresh = config.client_mapping_refresh;
-    }
+    opts.directory = directory_addrs;  // used when mapping_refresh > 0
+    opts.directory_service = kExperimentService;
+    opts.mapping_refresh = config.client_mapping_refresh;
     opts.seed = config.seed + 31 + static_cast<std::uint64_t>(c) * 9973;
     clients.push_back(std::make_unique<ClientNode>(
         std::move(opts),

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/time.h"
 #include "core/load_index.h"
 
 namespace finelb {
@@ -114,35 +113,6 @@ class RoundRobinCursor {
 
  private:
   std::size_t cursor_ = 0;
-};
-
-/// Short-cooldown server blacklist used by the failure-hardened runtimes:
-/// a server whose access recently timed out is excluded from candidate sets
-/// until its cooldown expires, so a crashed node stops eating poll rounds
-/// and requests while the directory's soft-state TTL catches up. Keyed by
-/// small non-negative indices (endpoint index or server id). Not
-/// thread-safe: one instance per client, like the Rng it sits next to.
-class Blacklist {
- public:
-  /// Blacklists `index` until time `until`; extends an existing entry.
-  void add(std::size_t index, SimTime until);
-
-  /// True when `index` is blacklisted at time `now`.
-  bool contains(std::size_t index, SimTime now) const;
-
-  /// Removes candidates blacklisted at `now` in place (order preserved).
-  /// When every candidate is blacklisted the vector is left untouched — a
-  /// degraded cluster must still be dispatched to, matching the poll-round
-  /// fallback rule. Each excluded candidate counts as one blacklist hit.
-  void filter_in_place(std::vector<ServerId>& candidates, SimTime now);
-
-  std::int64_t insertions() const { return insertions_; }
-  std::int64_t hits() const { return hits_; }
-
- private:
-  std::vector<SimTime> until_;  // grown on demand; index -> expiry
-  std::int64_t insertions_ = 0;
-  std::int64_t hits_ = 0;
 };
 
 }  // namespace finelb

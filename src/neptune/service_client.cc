@@ -7,24 +7,15 @@
 #include "net/clock.h"
 
 namespace finelb::neptune {
-namespace {
-
-const cluster::ServiceEndpoint& endpoint_of(
-    const std::vector<cluster::ServiceEndpoint>& group, ServerId server) {
-  const auto it = std::find_if(
-      group.begin(), group.end(),
-      [server](const cluster::ServiceEndpoint& e) { return e.server == server; });
-  FINELB_CHECK(it != group.end(), "chosen server is not in the group");
-  return *it;
-}
-
-}  // namespace
 
 ServiceClient::ServiceClient(ServiceClientOptions options)
     : options_(std::move(options)),
       directory_(options_.directory),
       rng_(options_.seed),
-      polls_(options_.policy, options_.max_poll_wait) {
+      polls_(options_.policy, options_.max_poll_wait),
+      availability_({.refresh_period = options_.mapping_refresh,
+                     .blacklist_cooldown = options_.blacklist_cooldown,
+                     .blacklist_after = 1}) {
   FINELB_CHECK(!options_.service_name.empty(), "service name required");
   FINELB_CHECK(options_.max_attempts >= 1, "need at least one attempt");
   FINELB_CHECK(options_.policy.kind == PolicyKind::kRandom ||
@@ -32,79 +23,74 @@ ServiceClient::ServiceClient(ServiceClientOptions options)
                    options_.policy.kind == PolicyKind::kPolling,
                "service client supports random, round-robin, and polling");
   poller_.add(socket_.fd(), 0);
-  refresh_mapping(/*force=*/true);
+  refresh_mapping();
 }
 
-ServiceClientStats ServiceClient::stats() const {
-  ServiceClientStats stats = stats_;
-  stats.blacklist_insertions = blacklist_.insertions();
-  stats.blacklist_hits = blacklist_.hits();
-  return stats;
+const cluster::ServiceEndpoint& ServiceClient::endpoint_of(
+    ServerId server) const {
+  const auto it = std::find_if(
+      snapshot_.begin(), snapshot_.end(),
+      [server](const cluster::ServiceEndpoint& e) { return e.server == server; });
+  FINELB_CHECK(it != snapshot_.end(), "chosen server is not in the mapping");
+  return *it;
 }
 
-void ServiceClient::refresh_mapping(bool force) {
+template <class Take>
+bool ServiceClient::receive_until(SimTime deadline, Take&& take) {
+  const std::span<std::uint8_t> buf = net::thread_scratch(64 * 1024);
+  for (;;) {
+    while (const auto dgram = socket_.recv_from(buf)) {
+      if (take(std::span<const std::uint8_t>(buf.data(), dgram->size))) {
+        return true;
+      }
+    }
+    if (net::monotonic_now() >= deadline) return false;
+    poller_.wait_until(deadline);
+  }
+}
+
+void ServiceClient::refresh_mapping() {
   const SimTime now = net::monotonic_now();
-  if (!force && now - mapping_fetched_at_ < options_.mapping_refresh) return;
-  // Backoff gate: after a failed fetch, even forced refreshes wait it out.
-  // Every retry path funnels through here, so this is what bounds the
-  // retry rate against a struggling directory.
-  if (now < refresh_backoff_until_) return;
-  const auto snapshot = directory_.try_fetch(options_.service_name);
+  if (!availability_.refresh_due(now)) return;
+  auto snapshot = directory_.try_fetch(options_.service_name);
   if (!snapshot) {
-    // Directory unreachable: keep the stale table (stale beats empty) and
-    // back off exponentially with jitter, capped at 8x the refresh period.
-    ++stats_.refresh_failures;
-    refresh_backoff_ =
-        refresh_backoff_ > 0
-            ? std::min<SimDuration>(refresh_backoff_ * 2,
-                                    options_.mapping_refresh * 8)
-            : std::max<SimDuration>(options_.mapping_refresh / 4,
-                                    50 * kMillisecond);
-    refresh_backoff_until_ =
-        now + static_cast<SimDuration>(static_cast<double>(refresh_backoff_) *
-                                       rng_.uniform(0.75, 1.25));
+    // Directory unreachable: keep the stale table (stale beats empty).
+    availability_.on_fetch_failed(now, rng_);
     return;
   }
-  refresh_backoff_ = 0;
-  refresh_backoff_until_ = 0;
-  mapping_.clear();
-  for (const auto& endpoint : *snapshot) {
-    mapping_[endpoint.partition].push_back(endpoint);
+  snapshot_ = std::move(*snapshot);
+  replicas_.clear();
+  std::vector<ServerId> live;
+  for (const auto& endpoint : snapshot_) {
+    replicas_[endpoint.partition].push_back(endpoint.server);
+    live.push_back(endpoint.server);
   }
-  mapping_fetched_at_ = now;
-  ++stats_.mapping_refreshes;
+  availability_.on_fetch(live, now, rng_);
 }
 
 std::size_t ServiceClient::replicas(std::uint32_t partition) {
-  refresh_mapping(/*force=*/false);
-  const auto it = mapping_.find(partition);
-  return it == mapping_.end() ? 0 : it->second.size();
+  refresh_mapping();
+  const auto it = replicas_.find(partition);
+  return it == replicas_.end() ? 0 : it->second.size();
 }
 
-ServerId ServiceClient::choose(const Group& group) {
-  candidates_.clear();
-  for (const auto& endpoint : group) candidates_.push_back(endpoint.server);
-  if (options_.blacklist_cooldown > 0) {
-    blacklist_.filter_in_place(candidates_, net::monotonic_now());
-  }
-  if (candidates_.size() == 1) return candidates_.front();
+ServerId ServiceClient::choose(std::span<const ServerId> replicas) {
+  const std::span<const ServerId> candidates =
+      availability_.filter(replicas, net::monotonic_now()).servers;
+  if (candidates.size() == 1) return candidates.front();
   // The constructor admits only these three policies.
   if (options_.policy.kind == PolicyKind::kRandom) {
-    return pick_random(candidates_, rng_);
+    return pick_random(candidates, rng_);
   }
   if (options_.policy.kind == PolicyKind::kRoundRobin) {
-    return rr_.next(candidates_);
+    return rr_.next(candidates);
   }
-  return poll_least_loaded(group);
-}
-
-ServerId ServiceClient::poll_least_loaded(const Group& group) {
   // Inquiry i of this round carries sequence base + i, so a reply maps
   // straight back to its target and replies from earlier rounds fall
   // outside [base, base + k).
   const std::uint64_t base = next_id_;
   core::PollRound& round = polls_.begin(
-      base, candidates_, static_cast<std::size_t>(options_.policy.poll_size),
+      base, candidates, static_cast<std::size_t>(options_.policy.poll_size),
       net::monotonic_now(), rng_);
   const std::span<const ServerId> targets = round.targets();
   next_id_ += targets.size();
@@ -113,57 +99,27 @@ ServerId ServiceClient::poll_least_loaded(const Group& group) {
     net::LoadInquiry inquiry;
     inquiry.seq = base + i;
     const std::size_t n = inquiry.encode_into(buf);
-    if (socket_.send_to({buf.data(), n},
-                        endpoint_of(group, targets[i]).load_addr)) {
+    if (socket_.send_to({buf.data(), n}, endpoint_of(targets[i]).load_addr)) {
       ++stats_.polls_sent;
     }
   }
-
-  while (!round.complete()) {
-    const SimDuration left = round.deadline() - net::monotonic_now();
-    if (left <= 0) break;  // discard outstanding slow polls
-    poller_.wait(left);
-    while (auto dgram = socket_.recv_from(buf)) {
-      net::LoadReply reply;
-      if (!net::LoadReply::try_decode(std::span(buf.data(), dgram->size),
-                                      reply) ||
-          reply.seq - base >= targets.size()) {
-        continue;  // stale reply or a late RPC response
-      }
+  // Past the deadline, outstanding slow polls are discarded.
+  receive_until(round.deadline(), [&](std::span<const std::uint8_t> dgram) {
+    net::LoadReply reply;
+    if (net::LoadReply::try_decode(dgram, reply) &&
+        reply.seq - base < targets.size()) {
       round.on_reply(targets[reply.seq - base], reply.queue_length,
                      net::monotonic_now());
     }
-  }
+    return round.complete();
+  });
   // Blind fallback pool: every usable replica, not just the polled ones.
   DecisionContext ctx;
   ctx.now_ns = net::monotonic_now();
   const core::PollDecision decision =
-      polls_.decide(round, ctx.now_ns, candidates_, rng_, ctx);
+      polls_.decide(round, ctx.now_ns, candidates, rng_, ctx);
   if (decision.blind) ++stats_.fallback_dispatches;
   return decision.server;
-}
-
-bool ServiceClient::await_response(std::uint64_t request_id,
-                                   CallResult& result) {
-  const std::span<std::uint8_t> buf = net::thread_scratch(64 * 1024);
-  const SimTime deadline = net::monotonic_now() + options_.rpc_timeout;
-  net::ServiceResponse response;
-  while (net::monotonic_now() < deadline) {
-    poller_.wait(deadline - net::monotonic_now());
-    while (auto dgram = socket_.recv_from(buf)) {
-      if (!net::ServiceResponse::try_decode(std::span(buf.data(), dgram->size),
-                                            response) ||
-          response.request_id != request_id) {
-        continue;  // stale response or a late poll reply
-      }
-      result.status = response.status;
-      result.transport_ok = true;
-      result.data = std::move(response.result);
-      result.server = response.server;
-      return true;
-    }
-  }
-  return false;
 }
 
 CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
@@ -173,21 +129,21 @@ CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
   CallResult result;
 
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) ++stats_.retries;
-    // A retry re-pulls the table: the replica set may have changed.
-    refresh_mapping(/*force=*/attempt > 0);
-    const auto group_it = mapping_.find(partition);
-    if (group_it == mapping_.end() || group_it->second.empty()) {
-      refresh_mapping(/*force=*/true);
-      // The forced refresh is gated by the failure backoff, so without a
-      // pause this loop would spin hot while the partition has no live
-      // replicas; a short jittered sleep bounds the retry rate instead.
+    if (attempt > 0) {
+      // A retry re-pulls the table: the replica set may have changed.
+      ++stats_.retries;
+      availability_.force_refresh(net::monotonic_now());
+    }
+    refresh_mapping();
+    const auto group = replicas_.find(partition);
+    if (group == replicas_.end()) {
+      // The retry's refresh waits out a failing directory's backoff; a short
+      // jittered sleep keeps this loop from spinning hot meanwhile.
       net::sleep_for(static_cast<SimDuration>(
           static_cast<double>(10 * kMillisecond) * rng_.uniform(0.5, 1.5)));
       continue;
     }
-    const Group& group = group_it->second;
-    const cluster::ServiceEndpoint& target = endpoint_of(group, choose(group));
+    const ServerId server = choose(group->second);
 
     request_.request_id = next_id_++;
     request_.method = method;
@@ -197,18 +153,28 @@ CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
         net::thread_scratch(request_.encoded_size());
     const std::size_t n = request_.encode_into(out);
     FINELB_CHECK(n > 0, "RPC args exceed the datagram limit");
-    if (!socket_.send_to(out.subspan(0, n), target.service_addr)) continue;
+    if (!socket_.send_to(out.subspan(0, n), endpoint_of(server).service_addr)) {
+      continue;
+    }
 
-    if (await_response(request_.request_id, result)) {
+    net::ServiceResponse response;
+    if (receive_until(net::monotonic_now() + options_.rpc_timeout,
+                      [&](std::span<const std::uint8_t> dgram) {
+                        return net::ServiceResponse::try_decode(dgram,
+                                                                response) &&
+                               response.request_id == request_.request_id;
+                      })) {
+      availability_.on_success(server);
+      result.status = response.status;
+      result.transport_ok = true;
+      result.data = std::move(response.result);
+      result.server = response.server;
       result.latency = net::monotonic_now() - started;
       return result;
     }
     // Timed out: blacklist the silent replica so the retry (and subsequent
     // calls) steer around it, then try again on a fresh choice.
-    if (options_.blacklist_cooldown > 0) {
-      blacklist_.add(static_cast<std::size_t>(target.server),
-                     net::monotonic_now() + options_.blacklist_cooldown);
-    }
+    availability_.on_timeout(server, net::monotonic_now());
   }
   ++stats_.transport_failures;
   result.transport_ok = false;

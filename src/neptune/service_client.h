@@ -9,11 +9,12 @@
 // This class packages those two steps behind one synchronous call():
 //   * availability — a service mapping table (partition -> live replicas)
 //     refreshed from the directory on an interval and on demand when a
-//     partition looks empty or an access times out;
+//     partition looks empty or an access times out (core::Availability:
+//     refresh schedule, backoff, blacklist);
 //   * load balancing — a core::PolicyConfig: random, round-robin, or
 //     random polling over the partition's replicas (with optional discard
-//     of slow polls), decided by the same core::PollAgent and blacklist
-//     as the experiment client (core/poll_round.h, core/selection.h).
+//     of slow polls), decided by core::PollAgent.
+// cluster::ClientNode drives the same two cores.
 // Failed accesses are retried against a fresh replica choice, which is how
 // the flat architecture "operates smoothly in the presence of transient
 // failures".
@@ -30,6 +31,7 @@
 
 #include "cluster/directory.h"
 #include "common/rng.h"
+#include "core/availability.h"
 #include "core/policy.h"
 #include "core/poll_round.h"
 #include "core/selection.h"
@@ -46,7 +48,7 @@ struct ServiceClientOptions {
   /// Wait per RPC attempt before retrying elsewhere.
   SimDuration rpc_timeout = 500 * kMillisecond;
   int max_attempts = 3;
-  /// Mapping table refresh interval (soft-state re-pull).
+  /// Mapping table refresh period (soft-state re-pull).
   SimDuration mapping_refresh = kSecond;
   /// Poll-reply wait when the discard optimization is off.
   SimDuration max_poll_wait = 20 * kMillisecond;
@@ -66,7 +68,8 @@ struct CallResult {
   SimDuration latency = 0;
 };
 
-struct ServiceClientStats {
+/// The availability counters are counted once, in core::Availability.
+struct ServiceClientStats : core::AvailabilityCounters {
   std::int64_t calls = 0;
   std::int64_t retries = 0;
   std::int64_t transport_failures = 0;
@@ -74,12 +77,6 @@ struct ServiceClientStats {
   /// Polling decisions made blind: no poll reply arrived in time, so a
   /// random usable replica was chosen.
   std::int64_t fallback_dispatches = 0;
-  std::int64_t mapping_refreshes = 0;
-  /// Directory fetches that timed out; the stale table is kept and the next
-  /// refresh is delayed by an exponentially backed-off, jittered interval.
-  std::int64_t refresh_failures = 0;
-  std::int64_t blacklist_insertions = 0;
-  std::int64_t blacklist_hits = 0;  // replicas excluded by cooldown
 };
 
 class ServiceClient {
@@ -97,43 +94,42 @@ class ServiceClient {
   /// Live replica count for a partition (forces a table refresh if stale).
   std::size_t replicas(std::uint32_t partition);
 
-  ServiceClientStats stats() const;
+  ServiceClientStats stats() const {
+    ServiceClientStats stats = stats_;
+    static_cast<core::AvailabilityCounters&>(stats) = availability_.counters();
+    return stats;
+  }
 
  private:
-  using Group = std::vector<cluster::ServiceEndpoint>;
-
-  void refresh_mapping(bool force);
-  /// Chooses a replica of `group` per the configured policy, steering
-  /// around blacklisted servers. Returns its server id.
-  ServerId choose(const Group& group);
-  /// One polling round (core::PollAgent) over a random poll set of
-  /// candidates_; falls back to a random candidate when no reply arrives
-  /// in time.
-  ServerId poll_least_loaded(const Group& group);
-  /// Waits up to rpc_timeout for the response to `request_id`.
-  bool await_response(std::uint64_t request_id, CallResult& result);
+  /// Fetches the mapping when availability_ says a fetch is due.
+  void refresh_mapping();
+  /// Chooses one of `replicas` per the configured policy, steering around
+  /// blacklisted servers. Polling runs one core::PollAgent round and falls
+  /// back to a random candidate when no reply arrives in time.
+  ServerId choose(std::span<const ServerId> replicas);
+  const cluster::ServiceEndpoint& endpoint_of(ServerId server) const;
+  /// The one wait loop: hands every datagram to `take` until it returns
+  /// true (then true) or `deadline` passes (then false).
+  template <class Take>
+  bool receive_until(SimTime deadline, Take&& take);
 
   ServiceClientOptions options_;
   cluster::DirectoryClient directory_;
   Rng rng_;
   RoundRobinCursor rr_;
   core::PollAgent polls_;
-  Blacklist blacklist_;  // keyed by server id
-  std::map<std::uint32_t, Group> mapping_;
-  SimTime mapping_fetched_at_ = 0;
-  SimTime refresh_backoff_until_ = 0;
-  SimDuration refresh_backoff_ = 0;
+  core::Availability availability_;  // keyed by server id
+  std::vector<cluster::ServiceEndpoint> snapshot_;  // last good fetch
+  std::map<std::uint32_t, std::vector<ServerId>> replicas_;  // by partition
   std::uint64_t next_id_ = 1;
 
   // One socket carries poll inquiries and RPCs alike: replies are told
   // apart by type tag and sequence, so a late reply of either kind is
-  // simply skipped by the other wait loop.
+  // simply skipped while waiting for the other.
   net::UdpSocket socket_;
   net::Poller poller_;
 
-  // Reused across calls so replica choice stays off the allocator: the
-  // scratch vector keeps its capacity, and request_.args its buffer.
-  std::vector<ServerId> candidates_;
+  // Reused across calls so the request stays off the allocator.
   net::ServiceRequest request_;
 
   ServiceClientStats stats_;

@@ -24,12 +24,17 @@ struct TestCluster {
   std::vector<std::unique_ptr<ServerNode>> servers;
   std::vector<ServerEndpoints> endpoints;
 
-  explicit TestCluster(int n) {
+  /// Server `lossy` (if any) drops every datagram it sends or receives.
+  explicit TestCluster(int n, int lossy = -1) {
     for (int s = 0; s < n; ++s) {
       ServerOptions opts;
       opts.id = s;
       opts.inject_busy_reply_delay = false;
       opts.seed = 100 + static_cast<std::uint64_t>(s);
+      if (s == lossy) {
+        opts.fault = std::make_shared<fault::FaultInjector>(
+            fault::FaultSpec::symmetric_loss(1.0));
+      }
       servers.push_back(std::make_unique<ServerNode>(opts));
       servers.back()->start();
       endpoints.push_back({servers.back()->id(),
@@ -216,6 +221,27 @@ TEST(ClientNodeTest, RegistryMirrorsEveryClientStatsCounter) {
   channel.stop();
   EXPECT_EQ(broadcast.stats().completed, 60);
   ExpectRegistryMirrorsStats(broadcast);
+}
+
+TEST(ClientNodeTest, RoundRobinSkipsBlacklistedServer) {
+  // Server 1 answers nothing. Once its first access times out it is
+  // blacklisted for the rest of the run, so round-robin must walk the
+  // candidate view: walking the raw server table times out every 3rd access.
+  TestCluster cluster(3, /*lossy=*/1);
+  ClientOptions opts = base_options(cluster, PolicyConfig::round_robin(), 60);
+  opts.response_timeout = 60 * kMillisecond;
+  opts.blacklist_cooldown = 10 * kSecond;
+  opts.blacklist_after = 1;
+  ClientNode client(std::move(opts), fast_source(10.0));
+  client.run();
+  const ClientStats& stats = client.stats();
+  EXPECT_EQ(stats.issued, 60);
+  EXPECT_EQ(stats.completed + stats.response_timeouts, 60);
+  EXPECT_GE(stats.blacklist_insertions, 1);
+  EXPECT_GT(stats.blacklist_hits, 0);
+  // Only the accesses sent to server 1 before its first timeout fail:
+  // about one of the ~3 arrivals in the first 60 ms.
+  EXPECT_LE(stats.response_timeouts, 5);
 }
 
 TEST(ClientNodeTest, PollSizeClampsToServerCount) {
