@@ -11,7 +11,7 @@
 //
 // The prototype half runs the same poll-size sweep live and reconstructs
 // the measured analogue: every audited decision (client decision ring,
-// chunked DECISION_INQUIRY channel for live scrapes) joins with the merged
+// chunked decision pulls for live scrapes) joins with the merged
 // clock-aligned traces, comparing the chosen server's realized queue depth
 // (its kResponse record) against the best reported depth in the polled set.
 // Both halves print the same summary fields (the metric names the stats

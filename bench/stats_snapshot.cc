@@ -1,12 +1,12 @@
 // Observability harness: stand up a 16-server prototype cluster, drive it
-// with a polling client, and scrape every node's telemetry over the
-// STATS_INQUIRY pull channel *while the run is live* — the operator's view
+// with a polling client, and scrape every server's telemetry with stats
+// pulls on the one PullInquiry channel *while the run is live* — the operator's view
 // of a production cluster, not a post-mortem. The merged cluster document
 // goes to stdout (and optionally a file), and the run finishes with each
 // node's final snapshot so the two can be compared.
 //
-// After the run the harness also pulls every server's trace ring over the
-// TRACE_INQUIRY channel (clock-synced from the scrape round trips), merges
+// After the run the harness also pulls every server's trace ring with
+// trace pulls (clock-synced from the scrape round trips), merges
 // it with the client's in-process ring, and reports the measured staleness
 // distribution |Q(t_reply) - Q(t_dispatch)| against the Equation 1 bound —
 // the same observatory fig2_staleness_proto sweeps across load levels.
@@ -19,8 +19,8 @@
 // the JSON path still exercises the wire pull).
 //
 // The decision observatory is live too: `--decision_period=N` audits every
-// Nth dispatch decision into the client's ring, which is pulled over the
-// chunked DECISION_INQUIRY channel mid-run and joined with the merged
+// Nth dispatch decision into the client's ring, which is pulled with
+// chunked decision pulls mid-run and joined with the merged
 // traces for the measured mistake-rate/regret summary.
 //
 //   stats_snapshot [--servers=16] [--requests=4000] [--load=0.7]
@@ -136,16 +136,16 @@ int main(int argc, char** argv) {
   const std::string live_prom =
       prom ? telemetry::cluster_to_prometheus(collect_snapshots()) : "";
 
-  // Pull the client's decision ring over the chunked DECISION_INQUIRY
-  // channel while the run is live (the client's service socket answers).
+  // Pull the client's decision ring with chunked decision pulls while the
+  // run is live (the client's service socket answers).
   const auto decision_scrape =
-      telemetry::scrape_decisions(client.decision_scrape_addr());
+      telemetry::scrape_decisions(client.pull_address());
 
   driver.join();
 
   // --- trace pull + staleness observatory ------------------------------------
-  // Scrape rings before stopping the servers: the TRACE_INQUIRY channel
-  // rides the same load-index socket the run just used, and each chunked
+  // Scrape rings before stopping the servers: trace pulls ride the same
+  // load-index socket the run just used, and each chunked
   // round trip contributes a clock-sync sample for the merge.
   std::vector<telemetry::NodeTrace> traces;
   int trace_unreachable = 0;
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
                     final_alerts.end());
 
   bench::print_header(
-      "Cluster stats snapshot (STATS_INQUIRY pull channel)",
+      "Cluster stats snapshot (stats pulls over PullInquiry)",
       std::to_string(servers) + " servers, polling(" +
           std::to_string(poll_size) + "), Poisson/Exp 5 ms, " +
           bench::Table::pct(load, 0) + " load, " + std::to_string(requests) +
@@ -254,12 +254,12 @@ int main(int argc, char** argv) {
   // --- decision observatory + health plane report ----------------------------
   if (decision_scrape) {
     std::printf(
-        "\ndecision pull (DECISION_INQUIRY over UDP, mid-run): "
+        "\ndecision pull (PullInquiry over UDP, mid-run): "
         "%zu records from node %d%s\n",
         decision_scrape->records.size(), decision_scrape->node,
         decision_scrape->complete ? "" : " (partial)");
   } else {
-    std::printf("\ndecision pull (DECISION_INQUIRY over UDP): no answer\n");
+    std::printf("\ndecision pull (PullInquiry over UDP): no answer\n");
   }
   std::printf("decision quality over %zu audited decisions: %s\n",
               decisions.size(),

@@ -32,7 +32,7 @@
 #                       (ctest -L "runtime|trace|ha"), which cover the
 #                       lock-free registry/trace-ring/decision-ring record
 #                       paths, the scrape-during-write protocol, the
-#                       chunked TRACE_INQUIRY and DECISION_INQUIRY wire
+#                       chunked trace and decision pull wire
 #                       paths, and the replicated
 #                       directory (election state machine, replica threads,
 #                       client failover/redirect).

@@ -2,15 +2,17 @@
 // tracing layer (DESIGN.md §11).
 //
 // Runs a real 8-server / 2-client prototype cluster on loopback with every
-// 4th access traced, pulls each node's trace ring over the wire
-// (TRACE_INQUIRY, clock-synced), merges the rings into one causally-ordered
-// timeline, and
+// 4th access traced, pulls each server's trace ring over the wire (trace
+// pulls on the one PullInquiry channel, clock-synced), merges the rings
+// into one causally-ordered timeline, and
 //   1. prints the measured staleness |Q(t_reply) - Q(t_dispatch)| next to
 //      the Equation 1 bound 2*rho/(1 - rho^2),
 //   2. writes a Chrome trace-event JSON you can open at
 //      https://ui.perfetto.dev to follow a single request across processes:
 //      enqueue -> poll fan-out -> server pick -> dispatch -> service ->
 //      response.
+//
+// Exits 1 when a server's trace ring could not be pulled.
 //
 // Build & run:  ./build/examples/trace_cluster [--trace_json=trace.json]
 #include <cstdio>
@@ -44,6 +46,12 @@ int main(int argc, char** argv) {
 
   const Workload workload = make_poisson_exp(0.005);  // 5 ms mean service
   cluster::PrototypeResult result = cluster::run_prototype(config, workload);
+
+  if (result.trace_scrape_failures > 0) {
+    std::fprintf(stderr, "%d server trace pulls went unanswered\n",
+                 result.trace_scrape_failures);
+    return 1;
+  }
 
   const auto merged = telemetry::merge_traces(result.node_traces);
   std::printf("%zu merged trace records from %zu nodes (%lld accesses)\n",

@@ -7,7 +7,6 @@
 #include "common/log.h"
 #include "net/clock.h"
 #include "net/message.h"
-#include "telemetry/export.h"
 
 namespace finelb::cluster {
 namespace {
@@ -81,7 +80,9 @@ ClientNode::ClientNode(ClientOptions options,
              options_.trace_sample_period),
       decision_ring_(
           options_.decision_capacity == 0 ? 1 : options_.decision_capacity,
-          options_.decision_sample_period) {
+          options_.decision_sample_period),
+      pull_(options_.id, "client." + std::to_string(options_.id), metrics_,
+            trace_, &decision_ring_) {
   FINELB_CHECK(!options_.servers.empty(), "client needs at least one server");
   FINELB_CHECK(options_.total_requests > 0, "nothing to do");
   FINELB_CHECK(source_ != nullptr, "client needs a request source");
@@ -466,13 +467,12 @@ void ClientNode::drain_service_socket() {
       net::ServiceResponse response;
       if (!net::ServiceResponse::try_decode(recv_batch_.payload(d),
                                             response)) {
-        // The service socket doubles as the decision-scrape endpoint:
-        // clients own no load socket, so DECISION_INQUIRY pulls land here.
-        net::DecisionInquiry inquiry;
-        if (net::DecisionInquiry::try_decode(recv_batch_.payload(d),
-                                             inquiry)) {
-          answer_decision_inquiry(inquiry.seq, inquiry.offset,
-                                  recv_batch_.address(d));
+        // The service socket doubles as the pull endpoint: clients own no
+        // load socket, so the observability pulls land here.
+        net::PullInquiry pull;
+        if (net::PullInquiry::try_decode(recv_batch_.payload(d), pull) &&
+            !pull_.answer(pull, service_socket_, recv_batch_.address(d))) {
+          bump(stats_.send_failures, m_send_failures_);
         }
         continue;
       }
@@ -508,47 +508,6 @@ void ClientNode::drain_service_socket() {
       outstanding_[idx] = outstanding_.back();
       outstanding_.pop_back();
     }
-  }
-}
-
-void ClientNode::answer_decision_inquiry(std::uint64_t seq,
-                                         std::uint32_t offset,
-                                         const net::Address& to) {
-  // Cold path (allocates), mirroring the server's trace inquiry answer: the
-  // ring is snapshotted per inquiry and returned one chunk at a time, so a
-  // scraper walking offsets sees a consistent total only while the ring is
-  // quiescent — fine for the post-run pull this serves.
-  const std::vector<DecisionRecord> records = decision_ring_.snapshot();
-  net::DecisionReply reply;
-  reply.seq = seq;
-  reply.node = options_.id;
-  reply.server_ns = net::monotonic_now();
-  reply.total = static_cast<std::uint32_t>(records.size());
-  reply.offset = std::min(offset, reply.total);
-  const std::size_t end = std::min<std::size_t>(
-      records.size(), reply.offset + net::kDecisionReplyMaxRecords);
-  reply.records.reserve(end - reply.offset);
-  for (std::size_t i = reply.offset; i < end; ++i) {
-    const DecisionRecord& rec = records[i];
-    net::DecisionRecordWire wire;
-    wire.request_id = rec.request_id;
-    wire.at_ns = rec.at_ns;
-    wire.chosen = rec.chosen;
-    wire.polled_count = rec.polled_count;
-    wire.flags = rec.blind_fallback ? 1 : 0;
-    wire.blacklist_filtered = rec.blacklist_filtered;
-    for (std::size_t p = 0;
-         p < rec.polled_count && p < net::kDecisionWirePollMax; ++p) {
-      wire.polled[p].server = rec.polled[p].server;
-      wire.polled[p].queue_length = rec.polled[p].queue_length;
-      wire.polled[p].age_ns = rec.polled[p].age_ns;
-    }
-    reply.records.push_back(wire);
-  }
-  std::vector<std::uint8_t> buf(reply.encoded_size());
-  const std::size_t n = reply.encode_into(buf);
-  if (n == 0 || !service_socket_.send_to({buf.data(), n}, to)) {
-    bump(stats_.send_failures, m_send_failures_);
   }
 }
 
@@ -724,12 +683,6 @@ void ClientNode::release_manager_slot(std::size_t server_index) {
   if (!send_fixed(release, [&](auto p) { return manager_socket_->send(p); })) {
     bump(stats_.send_failures, m_send_failures_);
   }
-}
-
-std::string ClientNode::stats_json() const {
-  return telemetry::to_json(
-      metrics_.snapshot("client." + std::to_string(options_.id)),
-      trace_.snapshot());
 }
 
 std::optional<SimTime> ClientNode::next_deadline(SimTime next_arrival) const {

@@ -48,6 +48,7 @@
 #include "stats/histogram.h"
 #include "telemetry/decision.h"
 #include "telemetry/metrics.h"
+#include "telemetry/scrape.h"
 #include "telemetry/trace.h"
 #include "workload/workload.h"
 
@@ -192,16 +193,16 @@ class ClientNode {
   const telemetry::TraceRing& trace() const { return trace_; }
   const telemetry::DecisionRing& decisions() const { return decision_ring_; }
 
-  /// Where the service socket listens. DECISION_INQUIRY datagrams sent here
-  /// are answered (chunked) while run() is live — decisions happen at
-  /// clients, so the client's service socket doubles as its scrape
-  /// endpoint, the way a server's load socket serves STATS/TRACE pulls.
-  net::Address decision_scrape_addr() const {
+  /// Where the node answers the observability pull channel: clients own
+  /// no load socket, so their service socket doubles as the pull endpoint
+  /// and answers stats, trace and decision pulls (chunked) while run() is
+  /// live.
+  net::Address pull_address() const {
     return service_socket_.local_address();
   }
 
   /// The node's snapshot (+ sampled trace) as JSON.
-  std::string stats_json() const;
+  std::string stats_json() const { return pull_.stats_json(); }
 
  private:
   struct Access {
@@ -248,8 +249,6 @@ class ClientNode {
                 bool manager_acquired = false);
   void release_manager_slot(std::size_t server_index);
   void drain_service_socket();
-  void answer_decision_inquiry(std::uint64_t seq, std::uint32_t offset,
-                               const net::Address& to);
   void drain_manager_socket();
   void drain_broadcast_socket();
   void drain_poll_socket(std::size_t server_index);
@@ -336,6 +335,7 @@ class ClientNode {
   telemetry::Registry metrics_;
   telemetry::TraceRing trace_;
   telemetry::DecisionRing decision_ring_;
+  telemetry::PullEndpoint pull_;
   telemetry::Counter m_issued_;
   telemetry::Counter m_completed_;
   telemetry::Counter m_polls_sent_;

@@ -388,7 +388,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config,
   }
   // --- decision observatory --------------------------------------------------
   // Client decision rings live in this process (like client trace rings),
-  // so the post-run pull is a snapshot; the wire channel (DECISION_INQUIRY
+  // so the post-run pull is a snapshot; the wire channel (decision pulls
   // on the client's service socket) exists for scraping a *live* client and
   // is exercised by telemetry::scrape_decisions tests. The regret join
   // reads each decision's realized queue depth from the merged timeline's

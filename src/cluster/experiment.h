@@ -114,7 +114,7 @@ struct PrototypeConfig {
   /// PrototypeResult::node_stats_json after the run.
   bool collect_node_stats = false;
   /// After the run (servers still live), pull every server's trace ring
-  /// over the wire (TRACE_INQUIRY, clock-synced from the scrape round
+  /// over the wire (trace pulls, clock-synced from the scrape round
   /// trips) plus each client's ring in-process, align the clocks, and fill
   /// PrototypeResult::node_traces and ::staleness. Requires
   /// trace_sample_period > 0 to produce anything.

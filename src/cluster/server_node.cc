@@ -10,7 +10,6 @@
 #include "cluster/blocking_queue.h"
 #include "net/clock.h"
 #include "net/poller.h"
-#include "telemetry/export.h"
 
 namespace finelb::cluster {
 
@@ -20,6 +19,8 @@ ServerNode::ServerNode(ServerOptions options)
     : options_(options),
       trace_(options_.trace_capacity == 0 ? 1 : options_.trace_capacity,
              options_.trace_sample_period),
+      pull_(options_.id, "server." + std::to_string(options_.id), metrics_,
+            trace_),
       queue_(std::make_unique<Queue>()) {
   FINELB_CHECK(options_.worker_threads >= 1, "need at least one worker");
   service_socket_.set_buffer_sizes(1 << 21);
@@ -29,7 +30,6 @@ ServerNode::ServerNode(ServerOptions options)
   m_served_ = metrics_.counter("requests_served");
   m_inquiries_ = metrics_.counter("inquiries_answered");
   m_send_failures_ = metrics_.counter("send_failures");
-  m_stats_scrapes_ = metrics_.counter("stats_scrapes");
   m_service_time_ms_ = metrics_.histogram("service_time_ms");
   m_queue_wait_ms_ = metrics_.histogram("queue_wait_ms");
   metrics_.probe("queue_depth",
@@ -212,18 +212,13 @@ void ServerNode::load_recv_loop() {
         net::LoadInquiry inquiry;
         if (!net::LoadInquiry::try_decode(inquiries.payload(i), inquiry)) {
           // Not a load inquiry: the observability pull channel shares this
-          // socket, so check for a stats or trace scrape before dropping
-          // (cold paths — answering allocates, which is fine off the
+          // socket (cold path — answering allocates, which is fine off the
           // polling fast path).
-          net::StatsInquiry stats;
-          if (net::StatsInquiry::try_decode(inquiries.payload(i), stats)) {
-            answer_stats_inquiry(stats.seq, inquiries.address(i));
-            continue;
-          }
-          net::TraceInquiry trace_inquiry;
-          if (net::TraceInquiry::try_decode(inquiries.payload(i),
-                                            trace_inquiry)) {
-            answer_trace_inquiry(trace_inquiry, inquiries.address(i));
+          net::PullInquiry pull;
+          if (net::PullInquiry::try_decode(inquiries.payload(i), pull) &&
+              !pull_.answer(pull, load_socket_, inquiries.address(i))) {
+            send_failures_.fetch_add(1, std::memory_order_relaxed);
+            m_send_failures_.inc();
           }
           continue;
         }
@@ -400,62 +395,6 @@ void ServerNode::broadcast_loop() {
             ? static_cast<SimDuration>(rng.uniform(0.5 * mean, 1.5 * mean))
             : broadcast_interval_;
     if (stop_.sleep_until(net::monotonic_now() + interval)) return;
-  }
-}
-
-std::string ServerNode::stats_json() const {
-  return telemetry::to_json(
-      metrics_.snapshot("server." + std::to_string(options_.id)),
-      trace_.snapshot());
-}
-
-void ServerNode::answer_stats_inquiry(std::uint64_t seq,
-                                      const net::Address& to) {
-  m_stats_scrapes_.inc();
-  net::StatsReply reply;
-  reply.seq = seq;
-  reply.payload = stats_json();
-  std::vector<std::uint8_t> buf(reply.encoded_size());
-  const std::size_t n = reply.encode_into(buf);
-  // n == 0 means the snapshot outgrew the wire format's 64 KiB string cap;
-  // treat it like a kernel-refused send rather than crashing the node.
-  if (n == 0 || !load_socket_.send_to({buf.data(), n}, to)) {
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    m_send_failures_.inc();
-  }
-}
-
-void ServerNode::answer_trace_inquiry(const net::TraceInquiry& inquiry,
-                                      const net::Address& to) {
-  // Cold path (allocates): snapshot the ring and return one chunk. The
-  // snapshot is re-taken per inquiry, so a scraper walking offsets sees a
-  // consistent total only while the ring is quiescent — acceptable for the
-  // post-run merge this serves; a live scrape just re-pulls.
-  const std::vector<telemetry::TraceRecord> records = trace_.snapshot();
-  net::TraceReply reply;
-  reply.seq = inquiry.seq;
-  reply.node = options_.id;
-  reply.server_ns = net::monotonic_now();
-  reply.total = static_cast<std::uint32_t>(records.size());
-  reply.offset = std::min(inquiry.offset, reply.total);
-  const std::size_t end =
-      std::min<std::size_t>(records.size(),
-                            reply.offset + net::kTraceReplyMaxRecords);
-  reply.records.reserve(end - reply.offset);
-  for (std::size_t i = reply.offset; i < end; ++i) {
-    net::TraceRecordWire rec;
-    rec.request_id = records[i].request_id;
-    rec.point = static_cast<std::uint8_t>(records[i].point);
-    rec.node = records[i].node;
-    rec.at_ns = records[i].at_ns;
-    rec.detail = records[i].detail;
-    reply.records.push_back(rec);
-  }
-  std::vector<std::uint8_t> buf(reply.encoded_size());
-  const std::size_t n = reply.encode_into(buf);
-  if (n == 0 || !load_socket_.send_to({buf.data(), n}, to)) {
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    m_send_failures_.inc();
   }
 }
 

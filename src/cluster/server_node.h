@@ -9,7 +9,9 @@
 //     for the request's service_us), or an application's RPC methods
 //     (neptune::MethodTable);
 //   * a load-index server — a second UDP socket answering LoadInquiry
-//     datagrams with the node's current queue length;
+//     datagrams with the node's current queue length, and the
+//     observability pull channel's PullInquiry datagrams through the node's
+//     telemetry::PullEndpoint;
 //   * an optional publisher that announces the node on the service
 //     availability channel as refreshed soft state.
 //
@@ -51,6 +53,7 @@
 #include "net/socket.h"
 #include "net/stop_signal.h"
 #include "telemetry/metrics.h"
+#include "telemetry/scrape.h"
 #include "telemetry/trace.h"
 
 namespace finelb::cluster {
@@ -89,7 +92,7 @@ struct ServerOptions {
   /// Requests and load inquiries carrying a wire `trace_id` were sampled by
   /// the issuing client and are recorded under that id whenever the ring is
   /// live, regardless of this period. The ring is served to scrapers in
-  /// chunks via TRACE_INQUIRY on the load socket (telemetry/scrape.h).
+  /// chunks via trace pulls on the load socket (telemetry/scrape.h).
   std::uint32_t trace_sample_period = 0;
   std::size_t trace_capacity = 256;
 
@@ -155,9 +158,9 @@ class ServerNode {
   const telemetry::Registry& metrics() const { return metrics_; }
   const telemetry::TraceRing& trace() const { return trace_; }
 
-  /// The node's snapshot (+ sampled trace) as JSON — what a STATS_INQUIRY
-  /// on the load socket answers with.
-  std::string stats_json() const;
+  /// The node's snapshot (+ sampled trace) as JSON — what a stats pull on
+  /// the load socket answers with.
+  std::string stats_json() const { return pull_.stats_json(); }
 
  private:
   struct WorkItem {
@@ -169,9 +172,6 @@ class ServerNode {
 
   void service_recv_loop();
   void load_recv_loop();
-  void answer_stats_inquiry(std::uint64_t seq, const net::Address& to);
-  void answer_trace_inquiry(const net::TraceInquiry& inquiry,
-                            const net::Address& to);
   void publish_loop();
   void broadcast_loop();
   void worker_loop();
@@ -197,9 +197,9 @@ class ServerNode {
   telemetry::Counter m_served_;
   telemetry::Counter m_inquiries_;
   telemetry::Counter m_send_failures_;
-  telemetry::Counter m_stats_scrapes_;
   telemetry::Histogram m_service_time_ms_;
   telemetry::Histogram m_queue_wait_ms_;
+  telemetry::PullEndpoint pull_;
 
   // Worker pool + request queue (defined in server_node.cc to keep the
   // header light).

@@ -55,8 +55,8 @@ struct DecisionRecord {
   /// Decision instant on the recording node's clock.
   std::int64_t at_ns = 0;
   ServerId chosen = kInvalidServer;
-  /// Servers actually polled for this decision (may exceed polled_count
-  /// stored below when the poll set was larger than kDecisionPollMax).
+  /// Entries of `polled` filled in: the servers polled for this decision,
+  /// capped at kDecisionPollMax (a larger poll set keeps its first ones).
   std::uint8_t polled_count = 0;
   /// The decision was made blind: every poll inquiry or reply was lost and
   /// the dispatcher fell back to a random candidate.

@@ -12,7 +12,12 @@
 //                                plane: term-numbered leader election and
 //                                lease heartbeats between replicas, plus the
 //                                leader-redirect answer a follower returns
-//                                to a snapshot request (DESIGN.md §12).
+//                                to a snapshot request (DESIGN.md §12);
+//   * pull inquiry / replies   — the observability pull channel: one
+//                                PullInquiry asks a node for its stats
+//                                document, a chunk of its trace ring or a
+//                                chunk of its decision ring, answered by a
+//                                StatsReply, TraceReply or DecisionReply.
 //
 // Every message starts with a one-byte type tag followed by little-endian
 // fields. Each type names its tag in `kType` and lists its fields once, in
@@ -24,7 +29,7 @@
 //   * compat    — encode() returns a fresh vector (cold control-plane
 //     sends) and decode() throws InvariantError on malformed input (tests);
 //     same bytes.
-// AllMessages, at the end, lists all 23 types.
+// AllMessages, at the end, lists all 21 types.
 #pragma once
 
 #include <cstdint>
@@ -50,17 +55,17 @@ enum class MsgType : std::uint8_t {
   kSnapshotReply = 10,
   kLoadAnnounce = 11,
   kSubscribe = 12,
-  kStatsInquiry = 13,
+  // 13, 15 and 22 were the per-artifact pull inquiries PullInquiry replaced;
+  // they stay retired so an older scraper's datagram is dropped, not misread.
   kStatsReply = 14,
-  kTraceInquiry = 15,
   kTraceReply = 16,
   kVoteRequest = 17,
   kVoteReply = 18,
   kHeartbeat = 19,
   kHeartbeatAck = 20,
   kRedirect = 21,
-  kDecisionInquiry = 22,
   kDecisionReply = 23,
+  kPullInquiry = 24,
 };
 
 /// Peeks at the type tag; throws on empty payloads.
@@ -260,16 +265,31 @@ struct Subscribe : Message<Subscribe> {
   }
 };
 
-/// Asks a node's load-index UDP server for a telemetry snapshot (the
-/// observability pull channel; answered out-of-band from LoadInquiry on the
-/// same socket, so scrapers need no extra port).
-struct StatsInquiry : Message<StatsInquiry> {
-  static constexpr MsgType kType = MsgType::kStatsInquiry;
+/// What a PullInquiry asks a node for.
+enum class PullKind : std::uint8_t {
+  kStats = 0,      // the node's telemetry document (answered by StatsReply)
+  kTrace = 1,      // a chunk of its trace ring (TraceReply)
+  kDecisions = 2,  // a chunk of its decision ring (DecisionReply)
+};
+
+/// Largest valid PullKind: decoders reject any kind byte past it.
+constexpr PullKind wire_max(PullKind) { return PullKind::kDecisions; }
+
+/// The observability pull channel's one inquiry. Servers answer it on their
+/// load-index socket and clients on their service socket, out-of-band from
+/// the hot-path messages there, so scrapers need no extra port. For the
+/// two rings, `offset` is the first record wanted of the node's current
+/// snapshot: scrapers walk offsets until a reply's records cross its
+/// advertised total. It is ignored for stats.
+struct PullInquiry : Message<PullInquiry> {
+  static constexpr MsgType kType = MsgType::kPullInquiry;
 
   std::uint64_t seq = 0;
+  PullKind what = PullKind::kStats;
+  std::uint32_t offset = 0;
 
   static constexpr auto fields(auto& m) {
-    return std::tie(m.seq);
+    return std::tie(m.seq, m.what, m.offset);
   }
 };
 
@@ -299,20 +319,6 @@ struct TraceRecordWire {
 
   static constexpr auto fields(auto& m) {
     return std::tie(m.request_id, m.point, m.node, m.at_ns, m.detail);
-  }
-};
-
-/// Asks a node's load-index UDP server for a chunk of its trace ring,
-/// starting at record `offset` of the node's current snapshot. Clients walk
-/// offsets until a reply's records cross its advertised total.
-struct TraceInquiry : Message<TraceInquiry> {
-  static constexpr MsgType kType = MsgType::kTraceInquiry;
-
-  std::uint64_t seq = 0;
-  std::uint32_t offset = 0;
-
-  static constexpr auto fields(auto& m) {
-    return std::tie(m.seq, m.offset);
   }
 };
 
@@ -366,19 +372,6 @@ struct DecisionRecordWire {
                                    m.polled_count, m.flags,
                                    m.blacklist_filtered),
                           std::tuple(codec::counted(m.polled_count, m.polled)));
-  }
-};
-
-/// Asks a node for a chunk of its decision ring, starting at record
-/// `offset` of the node's current snapshot (walked like TraceInquiry).
-struct DecisionInquiry : Message<DecisionInquiry> {
-  static constexpr MsgType kType = MsgType::kDecisionInquiry;
-
-  std::uint64_t seq = 0;
-  std::uint32_t offset = 0;
-
-  static constexpr auto fields(auto& m) {
-    return std::tie(m.seq, m.offset);
   }
 };
 
@@ -490,10 +483,9 @@ constexpr std::size_t kMaxFixedMsgSize = 64;
 using AllMessages =
     std::tuple<LoadInquiry, LoadReply, ServiceRequest, ServiceResponse,
                Acquire, AcquireReply, Release, Publish, SnapshotRequest,
-               SnapshotReply, LoadAnnounce, Subscribe, StatsInquiry,
-               StatsReply, TraceInquiry, TraceReply, DecisionInquiry,
-               DecisionReply, VoteRequest, VoteReply, Heartbeat,
-               HeartbeatAck, Redirect>;
+               SnapshotReply, LoadAnnounce, Subscribe, PullInquiry,
+               StatsReply, TraceReply, DecisionReply, VoteRequest,
+               VoteReply, Heartbeat, HeartbeatAck, Redirect>;
 
 namespace codec {
 

@@ -1,7 +1,7 @@
 // Health plane: a small rule engine evaluated on scrape (DESIGN.md §13).
 //
-// Rules read MetricsSnapshots — the same documents the STATS_INQUIRY pull
-// channel and stats_snapshot already produce — so the engine adds no
+// Rules read MetricsSnapshots — the same documents a stats pull and
+// stats_snapshot already produce — so the engine adds no
 // instrumentation of its own and runs wherever snapshots land (the scrape
 // driver, run_prototype's post-run report, or a test). Counter-based rules
 // (blacklist spikes, election churn) fire on the *delta* between

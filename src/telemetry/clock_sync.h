@@ -17,7 +17,7 @@
 // two crystal oscillators a few ppm apart drift microseconds per second.
 //
 // Sample sources: net::measure_udp_rtt's stamped echo rounds, and every
-// TRACE_INQUIRY/TRACE_REPLY scrape (the reply carries the answering node's
+// trace or decision pull (the reply carries the answering node's
 // clock), so pulling a node's trace ring synchronizes against it for free.
 #pragma once
 

@@ -1,8 +1,8 @@
 // Snapshot exporters: JSON and human-readable text, plus the two push
 // channels — a periodic stderr reporter and a SIGUSR1 dump trigger.
 //
-// The pull channel (STATS_INQUIRY over the load-index UDP socket) lives with
-// the nodes that answer it; telemetry/scrape.h holds the client side.
+// The pull channel (net::PullInquiry) lives in telemetry/scrape.h: the
+// scrapers and the PullEndpoint every node answers them with.
 #pragma once
 
 #include <functional>

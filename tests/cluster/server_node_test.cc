@@ -208,7 +208,7 @@ TEST(ServerNodeTest, AnswersStatsInquiriesWithJsonSnapshot) {
   // Snapshot documents are far larger than fixed wire messages: receive
   // through a payload-sized buffer instead of the roundtrip() helper's.
   net::UdpSocket scraper;
-  net::StatsInquiry inquiry;
+  net::PullInquiry inquiry;
   inquiry.seq = 909;
   ASSERT_TRUE(scraper.send_to(inquiry.encode(), server.load_address()));
   net::Poller poller;

@@ -145,7 +145,7 @@ TEST(ServiceNodeTest, AnswersStatsInquiriesWithJsonSnapshot) {
             net::RpcStatus::kOk);
   wait_served(*echo.node, 1);
 
-  net::StatsInquiry inquiry;
+  net::PullInquiry inquiry;
   inquiry.seq = 404;
   const auto reply =
       roundtrip<net::StatsReply>(echo.node->load_address(), inquiry);

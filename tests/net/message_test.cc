@@ -230,6 +230,19 @@ TEST(RpcCodecTest, UnknownStatusByteRejected) {
   EXPECT_THROW(ServiceResponse::decode(bytes), InvariantError);
 }
 
+TEST(MessageTest, UnknownPullKindByteRejected) {
+  PullInquiry inquiry;
+  inquiry.seq = 1;
+  inquiry.what = wire_max(PullKind{});
+  auto bytes = inquiry.encode();
+  // what follows tag(1) + seq(8).
+  ASSERT_EQ(bytes[9], static_cast<std::uint8_t>(wire_max(PullKind{})));
+  bytes[9] = static_cast<std::uint8_t>(wire_max(PullKind{})) + 1;
+  PullInquiry out;
+  EXPECT_FALSE(PullInquiry::try_decode(bytes, out));
+  EXPECT_THROW(PullInquiry::decode(bytes), InvariantError);
+}
+
 TEST(MessageTest, UntracedMessagesCarryZeroTraceContext) {
   // Default-constructed (untraced) messages must keep trace_id == 0 across
   // the wire — receivers treat 0 as "no trace context".
@@ -241,12 +254,14 @@ TEST(MessageTest, UntracedMessagesCarryZeroTraceContext) {
   EXPECT_EQ(ServiceRequest::decode(request.encode()).trace_id, 0u);
 }
 
-TEST(MessageTest, TraceInquiryReplyRoundTrip) {
-  TraceInquiry inquiry;
+TEST(MessageTest, TracePullReplyRoundTrip) {
+  PullInquiry inquiry;
   inquiry.seq = 4242;
+  inquiry.what = PullKind::kTrace;
   inquiry.offset = 0xffffffffu;
-  const auto dinq = TraceInquiry::decode(inquiry.encode());
+  const auto dinq = PullInquiry::decode(inquiry.encode());
   EXPECT_EQ(dinq.seq, 4242u);
+  EXPECT_EQ(dinq.what, PullKind::kTrace);
   EXPECT_EQ(dinq.offset, 0xffffffffu);
 
   TraceReply reply;
@@ -290,12 +305,14 @@ TEST(MessageTest, TraceReplyMaxChunkStaysUnderDatagramCap) {
   EXPECT_EQ(decoded.records.size(), kTraceReplyMaxRecords);
 }
 
-TEST(MessageTest, DecisionInquiryReplyRoundTrip) {
-  DecisionInquiry inquiry;
+TEST(MessageTest, DecisionPullReplyRoundTrip) {
+  PullInquiry inquiry;
   inquiry.seq = 777;
+  inquiry.what = PullKind::kDecisions;
   inquiry.offset = 0xfffffffeu;
-  const auto dinq = DecisionInquiry::decode(inquiry.encode());
+  const auto dinq = PullInquiry::decode(inquiry.encode());
   EXPECT_EQ(dinq.seq, 777u);
+  EXPECT_EQ(dinq.what, PullKind::kDecisions);
   EXPECT_EQ(dinq.offset, 0xfffffffeu);
 
   DecisionReply reply;
@@ -533,8 +550,9 @@ TEST_P(MessageTruncation, AllPrefixesRejected) {
       break;
     }
     case 5: {
-      TraceInquiry m;
+      PullInquiry m;
       m.seq = 7;
+      m.what = PullKind::kTrace;
       ExpectPrefixesRejected(m);
       break;
     }
@@ -585,8 +603,9 @@ TEST_P(MessageTruncation, AllPrefixesRejected) {
       break;
     }
     case 12: {
-      DecisionInquiry m;
+      PullInquiry m;
       m.seq = 7;
+      m.what = PullKind::kDecisions;
       ExpectPrefixesRejected(m);
       break;
     }
@@ -802,13 +821,14 @@ TEST(MessageHotPath, StringTypesRoundTrip) {
   EXPECT_EQ(reply_out.entries[2].service, "image-store");
 }
 
-TEST(MessageHotPath, StatsInquiryReplyRoundTrip) {
-  StatsInquiry inquiry;
+TEST(MessageHotPath, StatsPullReplyRoundTrip) {
+  PullInquiry inquiry;
   inquiry.seq = 31337;
   CheckWireSurfaces(inquiry);
-  StatsInquiry inquiry_out;
-  ASSERT_TRUE(StatsInquiry::try_decode(inquiry.encode(), inquiry_out));
+  PullInquiry inquiry_out;
+  ASSERT_TRUE(PullInquiry::try_decode(inquiry.encode(), inquiry_out));
   EXPECT_EQ(inquiry_out.seq, 31337u);
+  EXPECT_EQ(inquiry_out.what, PullKind::kStats);
 
   StatsReply reply;
   reply.seq = 31337;
@@ -827,20 +847,22 @@ TEST(MessageHotPath, StatsInquiryReplyRoundTrip) {
   std::vector<std::uint8_t> buf(reply.payload.size() + 64);
   EXPECT_EQ(reply.encode_into(buf), 0u);
 
-  // The two stats types must not parse as one another despite the shared
-  // seq-first layout.
-  StatsInquiry cross;
-  EXPECT_FALSE(StatsInquiry::try_decode(StatsReply().encode(), cross));
+  // The inquiry and the reply must not parse as one another despite the
+  // shared seq-first layout.
+  PullInquiry cross;
+  EXPECT_FALSE(PullInquiry::try_decode(StatsReply().encode(), cross));
 }
 
-TEST(MessageHotPath, TraceInquiryReplySurfaces) {
-  TraceInquiry inquiry;
+TEST(MessageHotPath, TracePullReplySurfaces) {
+  PullInquiry inquiry;
   inquiry.seq = 31338;
+  inquiry.what = PullKind::kTrace;
   inquiry.offset = 17;
   CheckWireSurfaces(inquiry);
-  TraceInquiry inquiry_out;
-  ASSERT_TRUE(TraceInquiry::try_decode(inquiry.encode(), inquiry_out));
+  PullInquiry inquiry_out;
+  ASSERT_TRUE(PullInquiry::try_decode(inquiry.encode(), inquiry_out));
   EXPECT_EQ(inquiry_out.seq, 31338u);
+  EXPECT_EQ(inquiry_out.what, PullKind::kTrace);
   EXPECT_EQ(inquiry_out.offset, 17u);
 
   TraceReply reply;
@@ -897,13 +919,15 @@ TEST(MessageHotPath, TraceReplyCorruptedCountRejected) {
 }
 
 TEST(MessageHotPath, DecisionTypesRoundTrip) {
-  DecisionInquiry inquiry;
+  PullInquiry inquiry;
   inquiry.seq = ~0ull;
+  inquiry.what = PullKind::kDecisions;
   inquiry.offset = 12345;
   CheckWireSurfaces(inquiry);
-  DecisionInquiry inquiry_out;
-  ASSERT_TRUE(DecisionInquiry::try_decode(inquiry.encode(), inquiry_out));
+  PullInquiry inquiry_out;
+  ASSERT_TRUE(PullInquiry::try_decode(inquiry.encode(), inquiry_out));
   EXPECT_EQ(inquiry_out.seq, ~0ull);
+  EXPECT_EQ(inquiry_out.what, PullKind::kDecisions);
   EXPECT_EQ(inquiry_out.offset, 12345u);
 
   // Variable-size records (mixed polled counts) through every surface.
@@ -1093,9 +1117,7 @@ TEST(MessageHotPath, GarbageRejectedWithoutThrowing) {
     SnapshotReply j;
     LoadAnnounce k;
     Subscribe l;
-    StatsInquiry m2;
     StatsReply n;
-    TraceInquiry o;
     TraceReply p;
     EXPECT_NO_THROW(LoadInquiry::try_decode(junk, a));
     EXPECT_NO_THROW(LoadReply::try_decode(junk, b));
@@ -1109,9 +1131,7 @@ TEST(MessageHotPath, GarbageRejectedWithoutThrowing) {
     EXPECT_NO_THROW(SnapshotReply::try_decode(junk, j));
     EXPECT_NO_THROW(LoadAnnounce::try_decode(junk, k));
     EXPECT_NO_THROW(Subscribe::try_decode(junk, l));
-    EXPECT_NO_THROW(StatsInquiry::try_decode(junk, m2));
     EXPECT_NO_THROW(StatsReply::try_decode(junk, n));
-    EXPECT_NO_THROW(TraceInquiry::try_decode(junk, o));
     EXPECT_NO_THROW(TraceReply::try_decode(junk, p));
   }
 }
@@ -1121,7 +1141,7 @@ TEST(MessageHotPath, GarbageRejectedWithoutThrowing) {
 // from a seeded generator through the type's own fields() list, so a field
 // added to a message is covered without touching this file.
 
-static_assert(std::tuple_size_v<AllMessages> == 23);
+static_assert(std::tuple_size_v<AllMessages> == 21);
 
 /// Seeded random value for every field; counted arrays get an in-range
 /// count.

@@ -3,7 +3,7 @@
 // The other codec tests compare two surfaces of the same build (encode()
 // against encode_into(), decode() against try_decode()), so a change that
 // moves a field, widens an integer or reorders a list would pass them all.
-// This test pins one instance of each of the 23 message types, with a
+// This test pins one instance of each of the 21 message types, with a
 // non-default value in every field, to bytes recorded once: the exact hex
 // for the fixed-layout and string types, and an FNV-1a digest plus the
 // length for the three list types. Decoding the pinned bytes and encoding
@@ -173,11 +173,20 @@ TEST(WireGoldenTest, BroadcastMessages) {
   expect_hex(subscribe, "0cefbeadde");
 }
 
-TEST(WireGoldenTest, StatsMessages) {
-  StatsInquiry inquiry;
+TEST(WireGoldenTest, PullMessages) {
+  PullInquiry inquiry;
   inquiry.seq = kId;
-  expect_hex(inquiry, "0d0807060504030201");
+  inquiry.what = PullKind::kStats;
+  expect_hex(inquiry, "1808070605040302010000000000");
+  inquiry.what = PullKind::kTrace;
+  inquiry.offset = 17;
+  expect_hex(inquiry, "1808070605040302010111000000");
+  inquiry.what = PullKind::kDecisions;
+  inquiry.offset = 0xfffffffeU;
+  expect_hex(inquiry, "18080706050403020102feffffff");
+}
 
+TEST(WireGoldenTest, StatsMessages) {
   StatsReply reply;
   reply.seq = kId;
   reply.payload = "{\"a\":1}";
@@ -185,11 +194,6 @@ TEST(WireGoldenTest, StatsMessages) {
 }
 
 TEST(WireGoldenTest, TraceMessages) {
-  TraceInquiry inquiry;
-  inquiry.seq = kId;
-  inquiry.offset = 17;
-  expect_hex(inquiry, "0f080706050403020111000000");
-
   TraceReply reply;
   reply.seq = kId;
   reply.node = 13;
@@ -209,11 +213,6 @@ TEST(WireGoldenTest, TraceMessages) {
 }
 
 TEST(WireGoldenTest, DecisionMessages) {
-  DecisionInquiry inquiry;
-  inquiry.seq = kId;
-  inquiry.offset = 0xfffffffeU;
-  expect_hex(inquiry, "160807060504030201feffffff");
-
   DecisionReply reply;
   reply.seq = kId;
   reply.node = 5;
